@@ -20,7 +20,6 @@ import (
 	"vacsem/internal/counter"
 	"vacsem/internal/gen"
 	"vacsem/internal/miter"
-	"vacsem/internal/sim"
 	"vacsem/internal/synth"
 )
 
@@ -33,9 +32,9 @@ func verifyBench(b *testing.B, metric bench.Metric, exact, approx *circuit.Circu
 	for i := 0; i < b.N; i++ {
 		var err error
 		if metric == bench.MED {
-			_, err = core.VerifyMED(exact, approx, opt)
+			_, err = VerifyMED(exact, approx, opt)
 		} else {
-			_, err = core.VerifyER(exact, approx, opt)
+			_, err = VerifyER(exact, approx, opt)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -148,7 +147,7 @@ func BenchmarkAblationAlpha(b *testing.B) {
 		b.Run(fmt.Sprintf("alpha=%g", alpha), func(b *testing.B) {
 			opt := core.Options{Method: core.MethodVACSEM, Alpha: alpha, TimeLimit: 5 * time.Minute}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.VerifyER(exact, approx, opt); err != nil {
+				if _, err := VerifyER(exact, approx, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -166,7 +165,7 @@ func BenchmarkAblationCache(b *testing.B) {
 		b.Run(fmt.Sprintf("disableCache=%v", disable), func(b *testing.B) {
 			opt := core.Options{Method: core.MethodVACSEM, DisableCache: disable, TimeLimit: 5 * time.Minute}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.VerifyER(exact, approx, opt); err != nil {
+				if _, err := VerifyER(exact, approx, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -188,7 +187,7 @@ func BenchmarkAblationSharedCache(b *testing.B) {
 				Workers: 0, TimeLimit: 5 * time.Minute,
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.VerifyMED(exact, approx, opt); err != nil {
+				if _, err := VerifyMED(exact, approx, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -215,7 +214,7 @@ func BenchmarkAblationEngine(b *testing.B) {
 		c.opt.TimeLimit = 5 * time.Minute
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.VerifyMED(exact, approx, c.opt); err != nil {
+				if _, err := VerifyMED(exact, approx, c.opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -232,7 +231,7 @@ func BenchmarkAblationSynth(b *testing.B) {
 		b.Run(fmt.Sprintf("noSynth=%v", noSynth), func(b *testing.B) {
 			opt := core.Options{Method: core.MethodVACSEM, NoSynth: noSynth, TimeLimit: 5 * time.Minute}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.VerifyER(exact, approx, opt); err != nil {
+				if _, err := VerifyER(exact, approx, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -273,27 +272,6 @@ func BenchmarkFig2Example(b *testing.B) {
 			b.Fatalf("count = %v", n)
 		}
 	}
-}
-
-// BenchmarkSimulatorThroughput measures raw word-parallel simulation
-// (patterns/second scale on mult8's ER miter).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	exact := gen.ArrayMultiplier(8)
-	approx := als.TruncatedMultiplier(8, 4)
-	m, err := miter.ER(exact, approx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := sim.NewEngine(m)
-	in := make([]uint64, m.NumInputs())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range in {
-			in[j] = sim.InputWord(j, uint64(i))
-		}
-		eng.Run(in)
-	}
-	b.SetBytes(64) // 64 patterns per iteration
 }
 
 // BenchmarkCNFEncode measures Phase 1 throughput on a mult12 sub-miter.

@@ -82,8 +82,6 @@ func run() int {
 	epsilon := flag.Float64("epsilon", 0, "approx backend: multiplicative tolerance ε (0 = default 0.8)")
 	delta := flag.Float64("delta", 0, "approx backend: failure probability δ (0 = default 0.2)")
 	countSeed := flag.Int64("count-seed", 0, "seed for the approx backend's XOR sampling (reproducible runs)")
-	hashDensity := flag.Float64("hash-density", 0, "approx backend: hash-row density in (0, 0.5] (0 = automatic sparse schedule; 0.5 = classical dense rows)")
-	minSupport := flag.Bool("min-support", true, "approx backend: shrink the sampling set by independent-support minimization before probing")
 	full := flag.Bool("full", false, "use the paper's full-size circuits (slow)")
 	versions := flag.Int("versions", 0, "approximate versions per benchmark (default 3, 10 with -full)")
 	timeLimit := flag.Duration("timelimit", 0, "per-verification time limit (default 30s, 4h with -full)")
@@ -132,7 +130,6 @@ func run() int {
 		Workers: *workers, SimWorkers: *simWorkers, NoSharedCache: !*sharedCache,
 		BDDReorder: *bddReorder,
 		Epsilon:    *epsilon, Delta: *delta, Seed: *countSeed,
-		HashDensity: *hashDensity, NoSupportMin: !*minSupport,
 	}
 	if *backendName != "" {
 		m, err := core.MethodByName(*backendName)
@@ -194,8 +191,8 @@ func run() int {
 		rows := bench.RunApproxTable(specs, bench.ER, cfg)
 		bench.WriteApproxTable(os.Stdout, rows, cfg)
 		fmt.Println()
-		// The scaling rows: multiplier sizes the exact reference cannot
-		// reach, estimated with the sparse family and the dense ablation.
+		// The scaling rows: adder and multiplier sizes the exact
+		// reference cannot reach.
 		scale := bench.RunApproxScaleTable(bench.ApproxScaleSpecs(cfg), cfg)
 		bench.WriteApproxScaleTable(os.Stdout, scale, cfg)
 		fmt.Println()

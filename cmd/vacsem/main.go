@@ -84,8 +84,6 @@ func run() int {
 		epsilon     = flag.Float64("epsilon", 0, "approx backend: multiplicative tolerance ε (0 = default 0.8)")
 		delta       = flag.Float64("delta", 0, "approx backend: failure probability δ (0 = default 0.2)")
 		countSeed   = flag.Int64("count-seed", 0, "seed for the approx backend's XOR sampling (reproducible runs)")
-		hashDensity = flag.Float64("hash-density", 0, "approx backend: hash-row density in (0, 0.5] (0 = automatic sparse schedule; 0.5 = classical dense rows)")
-		minSupport  = flag.Bool("min-support", true, "approx backend: shrink the sampling set by independent-support minimization before probing")
 		threshold   = flag.String("threshold", "0", "deviation threshold for -metric thr")
 		timeLimit   = flag.Duration("timelimit", 0, "abort after this duration (0 = none)")
 		noSynth     = flag.Bool("nosynth", false, "skip the synthesis (compress) step")
@@ -145,8 +143,6 @@ func run() int {
 		Epsilon:            *epsilon,
 		Delta:              *delta,
 		Seed:               *countSeed,
-		HashDensity:        *hashDensity,
-		NoSupportMin:       !*minSupport,
 	}, *progress, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "vacsem:", err)
 		exitCode = 1
@@ -194,24 +190,12 @@ func verify(metric, metricList, exactPath, apxPath, method, threshold string, op
 		return verifySession(ctx, metricList, threshold, exact, approx, opt, verbose)
 	}
 
-	start := time.Now()
-	var res *core.Result
-	switch metric {
-	case "er":
-		res, err = core.VerifyERContext(ctx, exact, approx, opt)
-	case "med":
-		res, err = core.VerifyMEDContext(ctx, exact, approx, opt)
-	case "mhd":
-		res, err = core.VerifyMHDContext(ctx, exact, approx, opt)
-	case "thr":
-		t, err2 := parseThreshold(threshold)
-		if err2 != nil {
-			return err2
-		}
-		res, err = core.VerifyThresholdProbContext(ctx, exact, approx, t, opt)
-	default:
-		return fmt.Errorf("unknown metric %q", metric)
+	spec, err := metricSpec(metric, threshold)
+	if err != nil {
+		return err
 	}
+	start := time.Now()
+	res, err := core.Verify(ctx, exact, approx, spec, opt)
 	if err != nil {
 		return err
 	}
@@ -243,14 +227,7 @@ func verifySession(ctx context.Context, metricList, threshold string, exact, app
 		if name == "" {
 			continue
 		}
-		var t *big.Int
-		if name == "thr" {
-			var err error
-			if t, err = parseThreshold(threshold); err != nil {
-				return err
-			}
-		}
-		spec, err := core.MetricSpecByName(name, t)
+		spec, err := metricSpec(name, threshold)
 		if err != nil {
 			return err
 		}
@@ -290,12 +267,18 @@ func verifySession(ctx context.Context, metricList, threshold string, exact, app
 	return nil
 }
 
-func parseThreshold(threshold string) (*big.Int, error) {
-	t, ok := new(big.Int).SetString(threshold, 10)
-	if !ok || t.Sign() < 0 {
-		return nil, fmt.Errorf("bad -threshold %q", threshold)
+// metricSpec resolves a -metric or -metrics name, parsing -threshold
+// for "thr".
+func metricSpec(name, threshold string) (core.MetricSpec, error) {
+	var t *big.Int
+	if name == "thr" {
+		var ok bool
+		t, ok = new(big.Int).SetString(threshold, 10)
+		if !ok || t.Sign() < 0 {
+			return core.MetricSpec{}, fmt.Errorf("bad -threshold %q", threshold)
+		}
 	}
-	return t, nil
+	return core.MetricSpecByName(name, t)
 }
 
 // approxLine renders the (ε, δ) guarantee row of an estimated result:

@@ -1,6 +1,7 @@
 package als
 
 import (
+	"context"
 	"testing"
 
 	"vacsem/internal/circuit"
@@ -10,7 +11,7 @@ import (
 
 func exhaustiveER(exact, approx *circuit.Circuit, t *testing.T) float64 {
 	t.Helper()
-	r, err := core.VerifyER(exact, approx, core.Options{Method: core.MethodEnum})
+	r, err := core.Verify(context.Background(), exact, approx, core.MetricSpec{Kind: core.MetricER}, core.Options{Method: core.MethodEnum})
 	if err != nil {
 		t.Fatalf("VerifyER: %v", err)
 	}

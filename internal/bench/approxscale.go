@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -10,14 +11,10 @@ import (
 	"vacsem/internal/gen"
 )
 
-// The approx-scaling table: multiplier sizes exact counting cannot
-// touch at the configured time limit, verified with the scaled approx
-// backend and with the pre-scaling ablation (density pinned to 0.5,
-// support minimization off, boundary bisection instead of the boundary
-// walk — the configuration the scaling work replaced). The ratio is the
-// headline of the scaling work; band adherence is established on the
-// smaller instances of the regular approx table, where exact ground
-// truth is feasible.
+// The approx-scaling table: adder and multiplier sizes exact counting
+// cannot touch at the configured time limit, verified with the approx
+// backend. Band adherence is established on the smaller instances of
+// the regular approx table, where exact ground truth is feasible.
 
 // ApproxScaleSpecs builds the scaling workload: 32/64-bit adders and
 // 16/32-bit array multipliers with deterministic approximate versions
@@ -45,77 +42,48 @@ func ApproxScaleSpecs(cfg Config) []Spec {
 	return specs
 }
 
-// ApproxScaleRow is one line of the approx-scaling table: the same
-// (benchmark, version) pairs estimated with the sparse hash family and
-// with the dense ablation, plus the sampling-set and density telemetry
-// of the sparse run.
+// ApproxScaleRow is one line of the approx-scaling table: the geomean
+// runtime over a benchmark's versions plus the sampling-set and density
+// telemetry of its first version.
 type ApproxScaleRow struct {
 	Name string
-	// SparseSec and DenseSec are geomean runtimes over the completed
-	// versions of the sparse run and the dense-ablation run.
-	SparseSec, DenseSec float64
-	// SupportBefore/SupportAfter are the sparse run's sampling-set
-	// sizes around independent-support minimization (largest task of
-	// the first version); HashDensity its mean hash-row density.
+	// Sec is the geomean runtime over the versions.
+	Sec float64
+	// SupportBefore/SupportAfter are the sampling-set sizes around
+	// independent-support minimization (largest task of the first
+	// version); HashDensity its mean hash-row density.
 	SupportBefore, SupportAfter int
 	HashDensity                 float64
-	// Total counts the versions both runs completed.
-	Total int
-	// SparseTimedOut / DenseTimedOut report limit hits per arm; a
-	// timed-out arm's geomean is absent and the ratio becomes a lower
-	// bound (the paper's ">" convention).
-	SparseTimedOut, DenseTimedOut bool
+	// TimedOut reports a limit hit: Sec is then absent.
+	TimedOut bool
 }
 
-// Speedup renders DenseSec/SparseSec with the ">" convention when the
-// dense arm timed out.
-func (r ApproxScaleRow) Speedup(limit time.Duration) string {
-	if r.SparseTimedOut || r.SparseSec <= 0 {
-		return "-"
-	}
-	if r.DenseTimedOut {
-		return fmt.Sprintf(">%.3g", limit.Seconds()/r.SparseSec)
-	}
-	if r.DenseSec <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.3gx", r.DenseSec/r.SparseSec)
-}
-
-// RunApproxScaleTable verifies ER for every spec twice per version with
-// the approx backend: once with the configured (scaled) backend and
-// once with the pre-scaling ablation (density 0.5, support minimization
-// off, boundary bisection). Both runs share the seed, worker count, and
-// time limit, so the ratio isolates the scaling work. Scaled runs land
-// in OnRun under "<name>/scale", ablation runs under "<name>/dense" —
-// distinct from each other and from the regular approx table's records
-// (bare spec names), so a committed report gates every arm.
+// RunApproxScaleTable verifies ER for every version of every spec with
+// the approx backend. Runs land in OnRun under "<name>/scale", distinct
+// from the regular approx table's records (bare spec names), so a
+// committed report gates both.
 func RunApproxScaleTable(specs []Spec, cfg Config) []ApproxScaleRow {
 	cfg = cfg.withDefaults()
+	opt := cfg.options(core.MethodApprox)
 	rows := make([]ApproxScaleRow, 0, len(specs))
 	for _, spec := range specs {
 		row := ApproxScaleRow{Name: spec.Name}
-		sparseLog, denseLog, completed := 0.0, 0.0, 0
+		logSum := 0.0
 		for v, approx := range spec.Approx {
-			verify := func(bench string, opt core.Options) (*core.Result, error) {
-				start := time.Now()
-				res, err := core.VerifyER(spec.Exact, approx, opt)
-				if cfg.OnRun != nil {
-					cfg.OnRun(newRunRecord(bench, ER.String(), core.MethodApprox, v, res, err, time.Since(start)))
-				}
-				return res, err
+			start := time.Now()
+			res, err := core.Verify(context.Background(), spec.Exact, approx, ER.spec(), opt)
+			if cfg.OnRun != nil {
+				cfg.OnRun(newRunRecord(spec.Name+"/scale", ER.String(), core.MethodApprox, v, res, err, time.Since(start)))
 			}
-			// A best-effort result means the arm ran out the clock and
-			// returned a degraded-confidence median: for the speedup
-			// ratio that is a limit hit (the ">" convention), even
-			// though the estimate itself is a valid deliverable.
-			sparse, err := verify(spec.Name+"/scale", cfg.options(core.MethodApprox))
-			if err != nil || sparse.BestEffort {
-				row.SparseTimedOut = true
+			// A best-effort result ran out the clock and returned a
+			// degraded-confidence median: for the runtime column that is
+			// a limit hit, even though the estimate itself is valid.
+			if err != nil || res.BestEffort {
+				row.TimedOut = true
 				break
 			}
 			if v == 0 {
-				for _, sub := range sparse.Subs {
+				for _, sub := range res.Subs {
 					if sub.SupportBefore > row.SupportBefore {
 						row.SupportBefore = sub.SupportBefore
 						row.SupportAfter = sub.SupportAfter
@@ -123,72 +91,32 @@ func RunApproxScaleTable(specs []Spec, cfg Config) []ApproxScaleRow {
 					}
 				}
 			}
-			if row.DenseTimedOut {
-				// The dense arm already hit the limit once: skip its
-				// remaining versions (each would burn the full limit) but
-				// keep timing the sparse arm so its geomean stays
-				// comparable across reports.
-				sparseLog += math.Log(clampSecs(sparse.Runtime.Seconds()))
-				completed++
-				continue
-			}
-			denseOpt := cfg.options(core.MethodApprox)
-			denseOpt.HashDensity = 0.5
-			denseOpt.NoSupportMin = true
-			denseOpt.ApproxBisect = true
-			dense, err := verify(spec.Name+"/dense", denseOpt)
-			if err != nil || dense.BestEffort {
-				row.DenseTimedOut = true
-				sparseLog += math.Log(clampSecs(sparse.Runtime.Seconds()))
-				completed++
-				continue
-			}
-			sparseLog += math.Log(clampSecs(sparse.Runtime.Seconds()))
-			denseLog += math.Log(clampSecs(dense.Runtime.Seconds()))
-			completed++
-			row.Total++
+			logSum += math.Log(clampSecs(res.Runtime.Seconds()))
 		}
-		if completed > 0 && !row.SparseTimedOut {
-			row.SparseSec = math.Exp(sparseLog / float64(completed))
-		}
-		if row.Total > 0 && !row.DenseTimedOut {
-			row.DenseSec = math.Exp(denseLog / float64(row.Total))
+		if !row.TimedOut && len(spec.Approx) > 0 {
+			row.Sec = math.Exp(logSum / float64(len(spec.Approx)))
 		}
 		rows = append(rows, row)
 	}
 	return rows
 }
 
-// WriteApproxScaleTable prints the sparse-vs-dense scaling comparison.
+// WriteApproxScaleTable prints the approx-scaling table.
 func WriteApproxScaleTable(w io.Writer, rows []ApproxScaleRow, cfg Config) {
 	cfg = cfg.withDefaults()
-	eps, delta := cfg.Epsilon, cfg.Delta
-	if eps == 0 {
-		eps = 0.8
-	}
-	if delta == 0 {
-		delta = 0.2
-	}
-	fmt.Fprintf(w, "Approx scaling: sparse vs dense hash families at (ε=%g, δ=%g) on ER miters (time limit %v, %d approx versions)\n",
+	eps, delta := cfg.approxGuarantee()
+	fmt.Fprintf(w, "Approx scaling at (ε=%g, δ=%g) on ER miters (time limit %v, %d approx versions)\n",
 		eps, delta, cfg.TimeLimit, cfg.Versions)
-	fmt.Fprintf(w, "%-11s %12s %12s %10s %14s %9s\n",
-		"Benchmark", "Sparse/s", "Dense/s", "Speedup", "Support", "Density")
+	fmt.Fprintf(w, "%-11s %12s %14s %9s\n", "Benchmark", "Time/s", "Support", "Density")
 	for _, r := range rows {
-		sparse := fmt.Sprintf("%.4g", r.SparseSec)
-		if r.SparseTimedOut {
-			sparse = fmt.Sprintf(">%g", cfg.TimeLimit.Seconds())
-		}
-		dense := fmt.Sprintf("%.4g", r.DenseSec)
-		if r.DenseTimedOut {
-			dense = fmt.Sprintf(">%g", cfg.TimeLimit.Seconds())
-		} else if r.DenseSec == 0 {
-			dense = "-" // arm never ran (sparse hit the limit first)
+		secs := fmt.Sprintf("%.4g", r.Sec)
+		if r.TimedOut {
+			secs = fmt.Sprintf(">%g", cfg.TimeLimit.Seconds())
 		}
 		support := "-"
 		if r.SupportBefore > 0 {
 			support = fmt.Sprintf("%d->%d", r.SupportBefore, r.SupportAfter)
 		}
-		fmt.Fprintf(w, "%-11s %12s %12s %10s %14s %9.3g\n",
-			r.Name, sparse, dense, r.Speedup(cfg.TimeLimit), support, r.HashDensity)
+		fmt.Fprintf(w, "%-11s %12s %14s %9.3g\n", r.Name, secs, support, r.HashDensity)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"vacsem/internal/als"
 	"vacsem/internal/circuit"
 	"vacsem/internal/core"
+	"vacsem/internal/counter"
 	"vacsem/internal/gen"
 	"vacsem/internal/synth"
 )
@@ -58,16 +59,10 @@ type Config struct {
 	// Methods (or in the approx comparison table): each count lands
 	// within a (1+ε) factor of the exact one with probability 1-δ, and
 	// Seed makes the XOR sampling reproducible. Zero values use the
-	// ApproxMC defaults (0.8 / 0.2).
+	// ApproxMC defaults (counter.DefaultEpsilon / DefaultDelta).
 	Epsilon float64
 	Delta   float64
 	Seed    int64
-	// HashDensity pins the approx backend's hash-row density (0 = the
-	// automatic sparse schedule; 0.5 = the classical dense family).
-	HashDensity float64
-	// NoSupportMin disables the approx backend's independent-support
-	// minimization (ablation).
-	NoSupportMin bool
 	// OnRun, when non-nil, receives one RunRecord per individual
 	// verification (each approximate version of each benchmark, per
 	// method), carrying the per-sub-miter wall times the text tables
@@ -114,9 +109,20 @@ func (c Config) options(m core.Method) core.Options {
 		BDDReorder:         c.BDDReorder,
 		DisableSharedCache: c.NoSharedCache,
 		Epsilon:            c.Epsilon, Delta: c.Delta, Seed: c.Seed,
-		HashDensity:  c.HashDensity,
-		NoSupportMin: c.NoSupportMin,
 	}
+}
+
+// approxGuarantee is the (ε, δ) the approx backend applies under c:
+// the configured values, with zeros resolved to the counter defaults.
+func (c Config) approxGuarantee() (eps, delta float64) {
+	eps, delta = c.Epsilon, c.Delta
+	if eps == 0 {
+		eps = counter.DefaultEpsilon
+	}
+	if delta == 0 {
+		delta = counter.DefaultDelta
+	}
+	return eps, delta
 }
 
 // Spec is one benchmark row: an exact circuit plus its approximate
@@ -215,6 +221,14 @@ func (m Metric) String() string {
 		return "MED"
 	}
 	return "ER"
+}
+
+// spec is the core metric spec m verifies.
+func (m Metric) spec() core.MetricSpec {
+	if m == MED {
+		return core.MetricSpec{Kind: core.MetricMED}
+	}
+	return core.MetricSpec{Kind: core.MetricER}
 }
 
 // AdderMultSpecs builds the Table IV/V workload: approximate adders and
@@ -358,16 +372,8 @@ func RunTable(specs []Spec, metric Metric, cfg Config) []Row {
 			cell := Cell{}
 			logSum, completed := 0.0, 0
 			for v, approx := range spec.Approx {
-				opt := cfg.options(m)
-				var res *core.Result
-				var err error
 				start := time.Now()
-				switch metric {
-				case MED:
-					res, err = core.VerifyMED(spec.Exact, approx, opt)
-				default:
-					res, err = core.VerifyER(spec.Exact, approx, opt)
-				}
+				res, err := core.Verify(context.Background(), spec.Exact, approx, metric.spec(), cfg.options(m))
 				if cfg.OnRun != nil {
 					cfg.OnRun(newRunRecord(spec.Name, metric.String(), m, v, res, err, time.Since(start)))
 				}
@@ -459,13 +465,8 @@ func RunMulti(specs []Spec, cfg Config) []MultiRow {
 			}
 			// Standalone comparison runs: same options, one metric each.
 			standalone := 0.0
-			verifiers := []func() (*core.Result, error){
-				func() (*core.Result, error) { return core.VerifyER(spec.Exact, approx, opt) },
-				func() (*core.Result, error) { return core.VerifyMED(spec.Exact, approx, opt) },
-				func() (*core.Result, error) { return core.VerifyMHD(spec.Exact, approx, opt) },
-			}
-			for i, verify := range verifiers {
-				res, err := verify()
+			for i, ms := range multiSpecs() {
+				res, err := core.Verify(context.Background(), spec.Exact, approx, ms, opt)
 				if err != nil {
 					standalone = 0
 					break
@@ -555,10 +556,7 @@ type ApproxRow struct {
 // vs "vacsem"), so the JSON report carries the raw comparability data.
 func RunApproxTable(specs []Spec, metric Metric, cfg Config) []ApproxRow {
 	cfg = cfg.withDefaults()
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = 0.8 // the ApproxMC default the backend applies
-	}
+	eps, _ := cfg.approxGuarantee()
 	band := new(big.Rat).SetFloat64(1 + eps)
 	rows := make([]ApproxRow, 0, len(specs))
 	for _, spec := range specs {
@@ -566,15 +564,8 @@ func RunApproxTable(specs []Spec, metric Metric, cfg Config) []ApproxRow {
 		apxLog, exLog, completed := 0.0, 0.0, 0
 		for v, approx := range spec.Approx {
 			verify := func(m core.Method) (*core.Result, error) {
-				opt := cfg.options(m)
 				start := time.Now()
-				var res *core.Result
-				var err error
-				if metric == MED {
-					res, err = core.VerifyMED(spec.Exact, approx, opt)
-				} else {
-					res, err = core.VerifyER(spec.Exact, approx, opt)
-				}
+				res, err := core.Verify(context.Background(), spec.Exact, approx, metric.spec(), cfg.options(m))
 				if cfg.OnRun != nil {
 					cfg.OnRun(newRunRecord(spec.Name, metric.String(), m, v, res, err, time.Since(start)))
 				}
@@ -628,14 +619,7 @@ func clampSecs(s float64) float64 {
 // WriteApproxTable prints the approx-vs-exact comparison.
 func WriteApproxTable(w io.Writer, rows []ApproxRow, cfg Config) {
 	cfg = cfg.withDefaults()
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = 0.8
-	}
-	delta := cfg.Delta
-	if delta == 0 {
-		delta = 0.2
-	}
+	eps, delta := cfg.approxGuarantee()
 	fmt.Fprintf(w, "Approx vs exact: (ε=%g, δ=%g) estimates against exact values (time limit %v, %d approx versions%s)\n",
 		eps, delta, cfg.TimeLimit, cfg.Versions,
 		map[bool]string{true: ", full-size", false: ", scaled"}[cfg.Full])
@@ -714,15 +698,8 @@ func WriteDDScalability(w io.Writer, cfg Config) {
 	fmt.Fprintf(w, "%-13s %14s %14s\n", "Instance", "BDD/s", "VACSEM/s")
 	for _, p := range points {
 		render := func(m core.Method) string {
-			opt := cfg.options(m)
 			start := time.Now()
-			var res *core.Result
-			var err error
-			if p.metric == MED {
-				res, err = core.VerifyMED(p.exact, p.approx, opt)
-			} else {
-				res, err = core.VerifyER(p.exact, p.approx, opt)
-			}
+			res, err := core.Verify(context.Background(), p.exact, p.approx, p.metric.spec(), cfg.options(m))
 			if cfg.OnRun != nil {
 				cfg.OnRun(newRunRecord(p.name, p.metric.String(), m, 0, res, err, time.Since(start)))
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"testing"
@@ -28,7 +29,7 @@ func ratWithinBand(got, want *big.Rat, eps float64) bool {
 func TestApproxAdderWithinEpsilon(t *testing.T) {
 	exact := gen.RippleCarryAdder(8)
 	apx := als.LowerORAdder(8, 3)
-	ref, err := VerifyER(exact, apx, Options{Method: MethodVACSEM})
+	ref, err := Verify(context.Background(), exact, apx, MetricSpec{Kind: MetricER}, Options{Method: MethodVACSEM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestApproxAdderWithinEpsilon(t *testing.T) {
 		trials = 1
 	}
 	for seed := int64(0); seed < trials; seed++ {
-		res, err := VerifyER(exact, apx, Options{
+		res, err := Verify(context.Background(), exact, apx, MetricSpec{Kind: MetricER}, Options{
 			Method: MethodApprox, Epsilon: 0.1, Delta: 0.05, Seed: seed,
 		})
 		if err != nil {
@@ -84,7 +85,7 @@ func TestApproxCrossValidatesExactBackends(t *testing.T) {
 		c := testutil.RandomCircuit(n, 15+int(seed*5%25), 2, seed+6061)
 		apx := testutil.RandomCircuit(n, 15+int(seed*7%25), 2, seed+7207)
 		apx.Name = c.Name
-		est, err := VerifyER(c, apx, Options{
+		est, err := Verify(context.Background(), c, apx, MetricSpec{Kind: MetricER}, Options{
 			Method: MethodApprox, Epsilon: eps, Delta: 0.45, Seed: seed,
 		})
 		if err != nil {
@@ -94,7 +95,7 @@ func TestApproxCrossValidatesExactBackends(t *testing.T) {
 			hashed++
 		}
 		for _, m := range []Method{MethodDPLL, MethodEnum, MethodBDD} {
-			ref, err := VerifyER(c, apx, Options{Method: m})
+			ref, err := Verify(context.Background(), c, apx, MetricSpec{Kind: MetricER}, Options{Method: m})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,12 +122,12 @@ func TestApproxSeedDeterminism(t *testing.T) {
 	exact := gen.RippleCarryAdder(6)
 	apx := als.LowerORAdder(6, 2)
 	opt := Options{Method: MethodApprox, Epsilon: 0.3, Delta: 0.3, Seed: 11, Workers: 1}
-	a, err := VerifyMED(exact, apx, opt)
+	a, err := Verify(context.Background(), exact, apx, MetricSpec{Kind: MetricMED}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 4
-	b, err := VerifyMED(exact, apx, opt)
+	b, err := Verify(context.Background(), exact, apx, MetricSpec{Kind: MetricMED}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestApproxProbeReuseAcrossTasks(t *testing.T) {
 	m.AddOutput(parity(8), "d1")
 	// Each parity cone has 128 models over its 8 inputs — above the
 	// ε=0.8 pivot of 72, so both tasks go through XOR hashing.
-	res, err := VerifyMiter("twin_parity", m,
+	res, err := VerifyMiter(context.Background(), "twin_parity", m,
 		[]*big.Int{big.NewInt(1), big.NewInt(1)},
 		Options{Method: MethodApprox, Epsilon: 0.8, Delta: 0.2, Seed: 5, Workers: 1})
 	if err != nil {
@@ -199,6 +200,45 @@ func TestApproxProbeReuseAcrossTasks(t *testing.T) {
 	}
 }
 
+// TestApproxPinnedCounts pins the approx backend's estimates bit for
+// bit: ER and MED of an 8-bit LOA pair at the default (ε, δ) for seeds
+// 1..5, at one and four workers. Any change to the hash family, the
+// boundary search or support minimization that moves an estimate fails
+// here, so refactors of the approx path must keep these numbers.
+func TestApproxPinnedCounts(t *testing.T) {
+	exact := gen.RippleCarryAdder(8)
+	apx := als.LowerORAdder(8, 3)
+	specs := []MetricSpec{{Kind: MetricER}, {Kind: MetricMED}}
+	want := map[int64][2]string{ // seed -> ER count, MED count
+		1: {"37888", "90112"},
+		2: {"37888", "90112"},
+		3: {"37888", "90112"},
+		4: {"37888", "90112"},
+		5: {"38912", "90112"},
+	}
+	first := int64(1)
+	if testing.Short() || testutil.RaceEnabled {
+		// Five seeds at two worker counts take ~15 s uninstrumented;
+		// keep the seed whose ER estimate differs from the others.
+		first = 5
+	}
+	for seed := first; seed <= 5; seed++ {
+		for _, workers := range []int{1, 4} {
+			sr, err := VerifyMetrics(context.Background(), exact, apx, specs,
+				Options{Method: MethodApprox, Seed: seed, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range sr.Results {
+				if got := res.Count.String(); got != want[seed][i] {
+					t.Errorf("seed %d workers %d %s: count %s, want %s",
+						seed, workers, res.Metric, got, want[seed][i])
+				}
+			}
+		}
+	}
+}
+
 // TestApproxMethodNames pins the registry plumbing: the method name
 // resolves both ways and exact methods report Confidence 1.
 func TestApproxMethodNames(t *testing.T) {
@@ -211,7 +251,7 @@ func TestApproxMethodNames(t *testing.T) {
 	}
 	exact := gen.RippleCarryAdder(4)
 	apx := als.LowerORAdder(4, 2)
-	res, err := VerifyER(exact, apx, Options{Method: MethodVACSEM})
+	res, err := Verify(context.Background(), exact, apx, MetricSpec{Kind: MetricER}, Options{Method: MethodVACSEM})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -14,14 +15,14 @@ func TestBDDMethodAgreesOnRandomCircuits(t *testing.T) {
 		exact := testutil.RandomCircuit(4+int(seed%5), 10+int(seed*3%25), 3, seed+60)
 		approx := approxVersion(exact, seed*5+1)
 		wantER, wantMED, _ := refMetrics(exact, approx)
-		er, err := VerifyER(exact, approx, Options{Method: MethodBDD})
+		er, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricER}, Options{Method: MethodBDD})
 		if err != nil {
 			t.Fatalf("seed %d ER: %v", seed, err)
 		}
 		if er.Value.Cmp(wantER) != 0 {
 			t.Errorf("seed %d: BDD ER = %v, want %v", seed, er.Value, wantER)
 		}
-		med, err := VerifyMED(exact, approx, Options{Method: MethodBDD})
+		med, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: MethodBDD})
 		if err != nil {
 			t.Fatalf("seed %d MED: %v", seed, err)
 		}
@@ -39,14 +40,14 @@ func TestBDDMethodWithReorderAgrees(t *testing.T) {
 		exact := testutil.RandomCircuit(4+int(seed%5), 10+int(seed*3%25), 3, seed+60)
 		approx := approxVersion(exact, seed*5+1)
 		wantER, wantMED, _ := refMetrics(exact, approx)
-		er, err := VerifyER(exact, approx, Options{Method: MethodBDD, BDDReorder: true})
+		er, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricER}, Options{Method: MethodBDD, BDDReorder: true})
 		if err != nil {
 			t.Fatalf("seed %d ER: %v", seed, err)
 		}
 		if er.Value.Cmp(wantER) != 0 {
 			t.Errorf("seed %d: reordered BDD ER = %v, want %v", seed, er.Value, wantER)
 		}
-		med, err := VerifyMED(exact, approx, Options{Method: MethodBDD, BDDReorder: true})
+		med, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: MethodBDD, BDDReorder: true})
 		if err != nil {
 			t.Fatalf("seed %d MED: %v", seed, err)
 		}
@@ -57,11 +58,11 @@ func TestBDDMethodWithReorderAgrees(t *testing.T) {
 	// A larger instance where the auto-trigger actually fires.
 	exact := gen.RippleCarryAdder(12)
 	approx := als.LowerORAdder(12, 5)
-	b, err := VerifyMED(exact, approx, Options{Method: MethodBDD, BDDReorder: true})
+	b, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: MethodBDD, BDDReorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := VerifyMED(exact, approx, Options{Method: MethodEnum})
+	e, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: MethodEnum})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestBDDMethodOnAdder(t *testing.T) {
 	// support up to 32-bit adders. Verify a 16-bit LOA.
 	exact := gen.RippleCarryAdder(16)
 	approx := als.LowerORAdder(16, 4)
-	b, err := VerifyER(exact, approx, Options{Method: MethodBDD})
+	b, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricER}, Options{Method: MethodBDD})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := VerifyER(exact, approx, Options{Method: MethodVACSEM})
+	v, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricER}, Options{Method: MethodVACSEM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +95,12 @@ func TestBDDMethodExplodesOnMultiplier(t *testing.T) {
 	// cleanly where VACSEM succeeds.
 	exact := gen.ArrayMultiplier(8)
 	approx := als.TruncatedMultiplier(8, 4)
-	_, err := VerifyMED(exact, approx, Options{Method: MethodBDD, BDDNodeLimit: 20000})
+	_, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: MethodBDD, BDDNodeLimit: 20000})
 	if err != ErrBDDTooLarge {
 		t.Fatalf("expected ErrBDDTooLarge, got %v", err)
 	}
 	// VACSEM on the same instance succeeds.
-	if _, err := VerifyMED(exact, approx, Options{Method: MethodVACSEM}); err != nil {
+	if _, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: MethodVACSEM}); err != nil {
 		t.Fatalf("VACSEM failed where it should win: %v", err)
 	}
 }
@@ -108,11 +109,11 @@ func TestBDDThresholdProb(t *testing.T) {
 	exact := gen.ArrayMultiplier(4)
 	approx := als.TruncatedMultiplier(4, 2)
 	for _, tv := range []int64{0, 3, 9} {
-		b, err := VerifyThresholdProb(exact, approx, big.NewInt(tv), Options{Method: MethodBDD})
+		b, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricThresholdProb, Threshold: big.NewInt(tv)}, Options{Method: MethodBDD})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := VerifyThresholdProb(exact, approx, big.NewInt(tv), Options{Method: MethodEnum})
+		e, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricThresholdProb, Threshold: big.NewInt(tv)}, Options{Method: MethodEnum})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestCancelMidCount(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := VerifyERContext(ctx, exact, approx, Options{Method: MethodDPLL})
+	_, err := Verify(ctx, exact, approx, MetricSpec{Kind: MetricER}, Options{Method: MethodDPLL})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -47,7 +47,7 @@ func TestCancelEnumMidCount(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := VerifyMEDContext(ctx, exact, approx, Options{Method: MethodEnum})
+	_, err := Verify(ctx, exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: MethodEnum})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -65,7 +65,7 @@ func TestCancelledContextNotConflatedWithTimeout(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, m := range []Method{MethodVACSEM, MethodDPLL, MethodEnum, MethodBDD} {
-		_, err := VerifyMEDContext(ctx, exact, approx, Options{Method: m})
+		_, err := Verify(ctx, exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: m})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err = %v, want context.Canceled", m, err)
 		}
@@ -82,7 +82,7 @@ func TestTimeLimitStillMapsToErrTimeout(t *testing.T) {
 	exact := gen.ArrayMultiplier(8)
 	approx := als.TruncatedMultiplier(8, 4)
 	for _, m := range []Method{MethodDPLL, MethodEnum} {
-		_, err := VerifyMED(exact, approx, Options{Method: m, TimeLimit: time.Nanosecond})
+		_, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: m, TimeLimit: time.Nanosecond})
 		if err != nil && !errors.Is(err, ErrTimeout) {
 			t.Errorf("%v: err = %v, want ErrTimeout (or instant success)", m, err)
 		}
@@ -100,7 +100,7 @@ func TestCallerDeadlineNotConflatedWithTimeout(t *testing.T) {
 	approx := als.TruncatedMultiplier(10, 5)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := VerifyERContext(ctx, exact, approx, Options{Method: MethodDPLL, TimeLimit: time.Hour})
+	_, err := Verify(ctx, exact, approx, MetricSpec{Kind: MetricER}, Options{Method: MethodDPLL, TimeLimit: time.Hour})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -117,11 +117,11 @@ func TestCallerDeadlineNotConflatedWithTimeout(t *testing.T) {
 func TestWorkersParallelMatchesSequential(t *testing.T) {
 	exact := gen.RippleCarryAdder(16)
 	approx := als.LowerORAdder(16, 5)
-	seq, err := VerifyMED(exact, approx, Options{Workers: 1})
+	seq, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := VerifyMED(exact, approx, Options{Workers: 4})
+	par, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWorkersParallelMatchesSequential(t *testing.T) {
 func TestTotalStatsAggregates(t *testing.T) {
 	exact := gen.RippleCarryAdder(12)
 	approx := als.LowerORAdder(12, 4)
-	r, err := VerifyMED(exact, approx, Options{Workers: 2})
+	r, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestWCEContextCancel(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	_, err := VerifyWCEContext(ctx, exact, approx, Options{Method: MethodDPLL})
+	_, err := VerifyWCE(ctx, exact, approx, Options{Method: MethodDPLL})
 	if err == nil {
 		return // solved before the cancel landed: fine
 	}

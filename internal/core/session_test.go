@@ -22,7 +22,7 @@ func sessionSpecs() []MetricSpec {
 
 // TestVerifyMetricsMatchesStandalone is the session-layer equivalence
 // guarantee: one VerifyMetrics call over {ER, MED, MHD} returns, per
-// metric, the exact same Value and Count as three standalone Verify*
+// metric, the exact same Value and Count as three standalone Verify
 // calls — on every backend and regardless of worker count. Counts are
 // function-determined, so the shared base, synthesis and cross-metric
 // dedup must never change them.
@@ -42,19 +42,11 @@ func TestVerifyMetricsMatchesStandalone(t *testing.T) {
 			if len(sess.Results) != 3 {
 				t.Fatalf("seed %d %v: %d results", seed, m, len(sess.Results))
 			}
-			er, err := VerifyER(exact, approx, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			med, err := VerifyMED(exact, approx, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mhd, err := VerifyMHD(exact, approx, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, want := range []*Result{er, med, mhd} {
+			for i, spec := range sessionSpecs() {
+				want, err := Verify(ctx, exact, approx, spec, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
 				got := sess.Results[i]
 				if got.Metric != want.Metric {
 					t.Errorf("seed %d %v: result %d metric %q, want %q",
@@ -97,13 +89,8 @@ func TestVerifyMetricsDedupOnAdders(t *testing.T) {
 		t.Errorf("base synthesis grew the miter: %d -> %d",
 			sess.BaseNodesBefore, sess.BaseNodesAfter)
 	}
-	standalone := []func() (*Result, error){
-		func() (*Result, error) { return VerifyER(exact, approx, opt) },
-		func() (*Result, error) { return VerifyMED(exact, approx, opt) },
-		func() (*Result, error) { return VerifyMHD(exact, approx, opt) },
-	}
-	for i, f := range standalone {
-		want, err := f()
+	for i, spec := range sessionSpecs() {
+		want, err := Verify(context.Background(), exact, approx, spec, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +152,7 @@ func TestThresholdNameInProgressEvents(t *testing.T) {
 		names[ev.Metric]++
 		mu.Unlock()
 	}}
-	r, err := VerifyThresholdProb(exact, approx, big.NewInt(2), opt)
+	r, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricThresholdProb, Threshold: big.NewInt(2)}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

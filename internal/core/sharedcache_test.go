@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -23,15 +24,15 @@ func TestSharedCacheMatchesPrivate(t *testing.T) {
 	approx := als.LowerORAdder(16, 5)
 	workers := runtime.GOMAXPROCS(0)
 
-	shared, err := VerifyMED(exact, approx, Options{Workers: workers})
+	shared, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := VerifyMED(exact, approx, Options{Workers: workers, DisableSharedCache: true})
+	private, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Workers: workers, DisableSharedCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := VerifyMED(exact, approx, Options{Workers: 1, DisableSharedCache: true})
+	seq, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Workers: 1, DisableSharedCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,10 @@
 // DPLL counting, exhaustive enumeration, ROBDDs), and an (ε, δ)
 // approximate-counting mode (XOR streamlining over the same counter).
 //
-// VerifyMetrics verifies several metrics in one deduplicated session;
-// the single-metric Verify* functions are thin wrappers around it and
-// return bit-identical results.
+// Every entry point takes a context: VerifyMetrics verifies several
+// metrics in one deduplicated session, Verify runs a single-metric
+// session with bit-identical results, VerifyMiter counts a caller-built
+// deviation miter, and VerifyWCE searches the worst-case error.
 package core
 
 import (
@@ -30,8 +31,8 @@ import (
 	"vacsem/internal/store"
 )
 
-// Session- and run-level metrics. A session is one VerifyMetrics (or
-// wrapper) invocation; a run is one metric verified inside it.
+// Session- and run-level metrics. A session is one VerifyMetrics,
+// Verify or VerifyMiter call; a run is one metric verified inside it.
 var (
 	mSessions   = obs.Default.Counter("core.sessions")
 	mRuns       = obs.Default.Counter("core.runs")
@@ -171,8 +172,8 @@ type Options struct {
 	// own pass.
 	NoSynth bool
 	// TimeLimit bounds the entire verification (all tasks of the
-	// session). 0 = none. It is applied as a context deadline; the
-	// Verify*Context variants additionally honour their caller's context.
+	// session). 0 = none. It is applied as a context deadline on top of
+	// the caller's context, which every entry point also honours.
 	TimeLimit time.Duration
 	// Alpha overrides the density-score scaling factor (default 2).
 	Alpha float64
@@ -218,10 +219,10 @@ type Options struct {
 	SimWorkers int
 	// Epsilon is MethodApprox's multiplicative tolerance: every task
 	// count is within a (1+ε) factor of the exact count with probability
-	// 1-δ. 0 means the ApproxMC default of 0.8. Exact methods ignore it.
+	// 1-δ. 0 means counter.DefaultEpsilon. Exact methods ignore it.
 	Epsilon float64
-	// Delta is MethodApprox's per-task failure probability (0 means the
-	// default of 0.2). Exact methods ignore it.
+	// Delta is MethodApprox's per-task failure probability (0 means
+	// counter.DefaultDelta). Exact methods ignore it.
 	Delta float64
 	// Seed drives every randomized path of the run — today MethodApprox's
 	// XOR sampling (hash rows are a pure function of Seed and position,
@@ -229,18 +230,6 @@ type Options struct {
 	// identical tasks share probe outcomes). The exact methods are fully
 	// deterministic and ignore it.
 	Seed int64
-	// HashDensity pins MethodApprox's hash-row density (probability each
-	// sampling variable joins a parity row). 0 means the automatic
-	// sparse schedule; 0.5 is the classical dense family (ablation
-	// baseline). Exact methods ignore it.
-	HashDensity float64
-	// NoSupportMin disables MethodApprox's independent-support
-	// minimization pass (ablation). Exact methods ignore it.
-	NoSupportMin bool
-	// ApproxBisect restores MethodApprox's pre-scaling boundary
-	// bisection instead of the boundary walk (ablation; estimates are
-	// identical either way). Exact methods ignore it.
-	ApproxBisect bool
 	// Progress, when non-nil, receives one event per completed metric
 	// output bit (possibly out of output order under concurrency; calls
 	// are serialized). The callback must not block.
@@ -267,9 +256,6 @@ func (o *Options) engineConfig() engine.Config {
 		Epsilon:         o.Epsilon,
 		Delta:           o.Delta,
 		Seed:            o.Seed,
-		HashDensity:     o.HashDensity,
-		NoSupportMin:    o.NoSupportMin,
-		ApproxBisect:    o.ApproxBisect,
 	}
 }
 
@@ -364,7 +350,7 @@ type SessionResult struct {
 // deviation bits compile to counting tasks, structurally identical
 // tasks are deduplicated across metrics, and one backend run solves the
 // remaining tasks with a shared component cache. Per-metric results are
-// bit-identical to the standalone Verify* calls at any worker count.
+// bit-identical to standalone Verify calls at any worker count.
 func VerifyMetrics(ctx context.Context, exact, approx *circuit.Circuit, specs []MetricSpec, opt Options) (*SessionResult, error) {
 	be, err := engine.Lookup(opt.Method.String())
 	if err != nil {
@@ -396,61 +382,13 @@ func VerifyMetrics(ctx context.Context, exact, approx *circuit.Circuit, specs []
 	return runPlan(ctx, p, be, opt, start, tr, span)
 }
 
-// VerifyER verifies the error rate (Eq. 2): the fraction of input
-// patterns on which the approximate circuit's outputs differ from the
-// exact circuit's.
-func VerifyER(exact, approx *circuit.Circuit, opt Options) (*Result, error) {
-	return VerifyERContext(context.Background(), exact, approx, opt)
-}
-
-// VerifyERContext is VerifyER with cooperative cancellation.
-func VerifyERContext(ctx context.Context, exact, approx *circuit.Circuit, opt Options) (*Result, error) {
-	return verifyOne(ctx, exact, approx, MetricSpec{Kind: MetricER}, opt)
-}
-
-// VerifyMED verifies the mean error distance (Eq. 4): the average of
-// |int(y) - int(y')| over all input patterns, treating outputs as
-// unsigned binary numbers, LSB first.
-func VerifyMED(exact, approx *circuit.Circuit, opt Options) (*Result, error) {
-	return VerifyMEDContext(context.Background(), exact, approx, opt)
-}
-
-// VerifyMEDContext is VerifyMED with cooperative cancellation.
-func VerifyMEDContext(ctx context.Context, exact, approx *circuit.Circuit, opt Options) (*Result, error) {
-	return verifyOne(ctx, exact, approx, MetricSpec{Kind: MetricMED}, opt)
-}
-
-// VerifyMHD verifies the mean Hamming distance: the average number of
-// output bits on which the circuits disagree.
-func VerifyMHD(exact, approx *circuit.Circuit, opt Options) (*Result, error) {
-	return VerifyMHDContext(context.Background(), exact, approx, opt)
-}
-
-// VerifyMHDContext is VerifyMHD with cooperative cancellation.
-func VerifyMHDContext(ctx context.Context, exact, approx *circuit.Circuit, opt Options) (*Result, error) {
-	return verifyOne(ctx, exact, approx, MetricSpec{Kind: MetricMHD}, opt)
-}
-
-// VerifyThresholdProb verifies P(|int(y) - int(y')| > t), the probability
-// that the deviation exceeds a threshold (the MACACO-style metric).
-func VerifyThresholdProb(exact, approx *circuit.Circuit, t *big.Int, opt Options) (*Result, error) {
-	return VerifyThresholdProbContext(context.Background(), exact, approx, t, opt)
-}
-
-// VerifyThresholdProbContext is VerifyThresholdProb with cooperative
-// cancellation. The formatted metric name ("P(dev>t)") is carried from
-// the spec through the session, so trace spans and progress events
-// agree with the final Result.Metric.
-func VerifyThresholdProbContext(ctx context.Context, exact, approx *circuit.Circuit, t *big.Int, opt Options) (*Result, error) {
-	var tc *big.Int
-	if t != nil {
-		tc = new(big.Int).Set(t)
-	}
-	return verifyOne(ctx, exact, approx, MetricSpec{Kind: MetricThresholdProb, Threshold: tc}, opt)
-}
-
-// verifyOne runs a single-metric session and unwraps its result.
-func verifyOne(ctx context.Context, exact, approx *circuit.Circuit, spec MetricSpec, opt Options) (*Result, error) {
+// Verify verifies one metric: a single-spec VerifyMetrics session whose
+// only result it returns. Specs come from MetricSpecByName or literals:
+// MetricER is the error rate (Eq. 2), MetricMED the mean error distance
+// (Eq. 4, outputs read as unsigned binary numbers, LSB first), MetricMHD
+// the mean Hamming distance, and MetricThresholdProb the probability
+// P(|int(y) - int(y')| > t) with t in spec.Threshold.
+func Verify(ctx context.Context, exact, approx *circuit.Circuit, spec MetricSpec, opt Options) (*Result, error) {
 	sr, err := VerifyMetrics(ctx, exact, approx, []MetricSpec{spec}, opt)
 	if err != nil {
 		return nil, err
@@ -461,15 +399,10 @@ func verifyOne(ctx context.Context, exact, approx *circuit.Circuit, spec MetricS
 // VerifyMiter verifies a user-supplied deviation miter: the metric value
 // is sum_j weight_j * P(output_j = 1). This is the extension point for
 // custom average-error metrics (Section II-A: "other average error
-// metrics can also be converted into #SAT problems similarly").
-func VerifyMiter(name string, m *circuit.Circuit, weights []*big.Int, opt Options) (*Result, error) {
-	return VerifyMiterContext(context.Background(), name, m, weights, opt)
-}
-
-// VerifyMiterContext is VerifyMiter with cooperative cancellation. The
+// metrics can also be converted into #SAT problems similarly"). The
 // weights are defensively copied, so mutating the slice (or its
 // elements) after the call cannot corrupt the reported results.
-func VerifyMiterContext(ctx context.Context, name string, m *circuit.Circuit, weights []*big.Int, opt Options) (*Result, error) {
+func VerifyMiter(ctx context.Context, name string, m *circuit.Circuit, weights []*big.Int, opt Options) (*Result, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}

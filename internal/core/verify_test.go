@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -80,7 +81,7 @@ func allMethods() []Method { return []Method{MethodVACSEM, MethodDPLL, MethodEnu
 func TestVerifyERIdenticalCircuits(t *testing.T) {
 	c := testutil.RandomCircuit(6, 20, 3, 1)
 	for _, m := range allMethods() {
-		r, err := VerifyER(c, c.Clone(), Options{Method: m})
+		r, err := Verify(context.Background(), c, c.Clone(), MetricSpec{Kind: MetricER}, Options{Method: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -104,7 +105,7 @@ func TestVerifyERInvertedOutput(t *testing.T) {
 	g2 := ap.AddGate(circuit.Nand, a2, b2)
 	ap.AddOutput(g2, "y")
 	for _, m := range allMethods() {
-		r, err := VerifyER(c, ap, Options{Method: m})
+		r, err := Verify(context.Background(), c, ap, MetricSpec{Kind: MetricER}, Options{Method: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -122,21 +123,21 @@ func TestVerifyMetricsRandomAllMethodsAgree(t *testing.T) {
 		approx := approxVersion(exact, seed*13+7)
 		wantER, wantMED, wantMHD := refMetrics(exact, approx)
 		for _, m := range allMethods() {
-			er, err := VerifyER(exact, approx, Options{Method: m})
+			er, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricER}, Options{Method: m})
 			if err != nil {
 				t.Fatalf("seed %d %v ER: %v", seed, m, err)
 			}
 			if er.Value.Cmp(wantER) != 0 {
 				t.Errorf("seed %d %v: ER = %v, want %v", seed, m, er.Value, wantER)
 			}
-			med, err := VerifyMED(exact, approx, Options{Method: m})
+			med, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: m})
 			if err != nil {
 				t.Fatalf("seed %d %v MED: %v", seed, m, err)
 			}
 			if med.Value.Cmp(wantMED) != 0 {
 				t.Errorf("seed %d %v: MED = %v, want %v", seed, m, med.Value, wantMED)
 			}
-			mhd, err := VerifyMHD(exact, approx, Options{Method: m})
+			mhd, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMHD}, Options{Method: m})
 			if err != nil {
 				t.Fatalf("seed %d %v MHD: %v", seed, m, err)
 			}
@@ -150,11 +151,11 @@ func TestVerifyMetricsRandomAllMethodsAgree(t *testing.T) {
 func TestVerifyNoSynthMatchesSynth(t *testing.T) {
 	exact := testutil.RandomCircuit(7, 25, 2, 99)
 	approx := approxVersion(exact, 5)
-	a, err := VerifyMED(exact, approx, Options{})
+	a, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := VerifyMED(exact, approx, Options{NoSynth: true})
+	b, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{NoSynth: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestVerifyThresholdProb(t *testing.T) {
 	}
 	for _, m := range allMethods() {
 		for _, tc := range cases {
-			r, err := VerifyThresholdProb(exact, approx, big.NewInt(tc.t), Options{Method: m})
+			r, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricThresholdProb, Threshold: big.NewInt(tc.t)}, Options{Method: m})
 			if err != nil {
 				t.Fatalf("%v t=%d: %v", m, tc.t, err)
 			}
@@ -210,7 +211,7 @@ func TestVerifyMiterCustomWeights(t *testing.T) {
 	m.AddOutput(m.AddGate(circuit.Or, a, b), "o1")  // P = 3/4
 	want := new(big.Rat).Add(big.NewRat(3, 4), big.NewRat(15, 4))
 	for _, mm := range allMethods() {
-		r, err := VerifyMiter("custom", m, []*big.Int{big.NewInt(3), big.NewInt(5)}, Options{Method: mm})
+		r, err := VerifyMiter(context.Background(), "custom", m, []*big.Int{big.NewInt(3), big.NewInt(5)}, Options{Method: mm})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,11 +224,11 @@ func TestVerifyMiterCustomWeights(t *testing.T) {
 func TestVerifyInterfaceMismatch(t *testing.T) {
 	a := testutil.RandomCircuit(4, 10, 2, 1)
 	b := testutil.RandomCircuit(5, 10, 2, 1)
-	if _, err := VerifyER(a, b, Options{}); err == nil {
+	if _, err := Verify(context.Background(), a, b, MetricSpec{Kind: MetricER}, Options{}); err == nil {
 		t.Error("expected input-count mismatch error")
 	}
 	c := testutil.RandomCircuit(4, 10, 3, 1)
-	if _, err := VerifyMED(a, c, Options{}); err == nil {
+	if _, err := Verify(context.Background(), a, c, MetricSpec{Kind: MetricMED}, Options{}); err == nil {
 		t.Error("expected output-count mismatch error")
 	}
 }
@@ -235,7 +236,7 @@ func TestVerifyInterfaceMismatch(t *testing.T) {
 func TestVerifyTimeout(t *testing.T) {
 	exact := testutil.RandomCircuit(20, 300, 4, 2)
 	approx := approxVersion(exact, 77)
-	_, err := VerifyMED(exact, approx, Options{Method: MethodEnum, TimeLimit: 1})
+	_, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{Method: MethodEnum, TimeLimit: 1})
 	if err != ErrTimeout && err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -244,7 +245,7 @@ func TestVerifyTimeout(t *testing.T) {
 func TestResultFields(t *testing.T) {
 	exact := testutil.RandomCircuit(5, 15, 2, 3)
 	approx := approxVersion(exact, 9)
-	r, err := VerifyMED(exact, approx, Options{})
+	r, err := Verify(context.Background(), exact, approx, MetricSpec{Kind: MetricMED}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

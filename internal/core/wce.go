@@ -26,14 +26,9 @@ type WCEResult struct {
 // exactly, by binary search over threshold miters: each probe asks the
 // SAT question "can the deviation exceed t?" and the engine (including
 // the simulation hook) answers with early termination. The number of
-// probes is at most the output bit-width.
-func VerifyWCE(exact, approx *circuit.Circuit, opt Options) (*WCEResult, error) {
-	return VerifyWCEContext(context.Background(), exact, approx, opt)
-}
-
-// VerifyWCEContext is VerifyWCE with cooperative cancellation: the
-// context reaches every SAT probe's decision loop.
-func VerifyWCEContext(ctx context.Context, exact, approx *circuit.Circuit, opt Options) (*WCEResult, error) {
+// probes is at most the output bit-width. The context reaches every SAT
+// probe's decision loop.
+func VerifyWCE(ctx context.Context, exact, approx *circuit.Circuit, opt Options) (*WCEResult, error) {
 	start := time.Now()
 	if exact.NumOutputs() != approx.NumOutputs() {
 		return nil, fmt.Errorf("core: output count mismatch")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestWCETruncatedAdder(t *testing.T) {
 	approx := als.TruncatedAdder(n, k)
 	want := bruteWCE(exact, approx, 2*n)
 	for _, m := range []Method{MethodVACSEM, MethodDPLL} {
-		r, err := VerifyWCE(exact, approx, Options{Method: m})
+		r, err := VerifyWCE(context.Background(), exact, approx, Options{Method: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +48,7 @@ func TestWCETruncatedAdder(t *testing.T) {
 
 func TestWCEIdenticalIsZero(t *testing.T) {
 	c := gen.ArrayMultiplier(3)
-	r, err := VerifyWCE(c, c.Clone(), Options{})
+	r, err := VerifyWCE(context.Background(), c, c.Clone(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestWCERandomCircuits(t *testing.T) {
 		exact := testutil.RandomCircuit(5, 14, 3, seed+40)
 		approx := approxVersion(exact, seed*11+3)
 		want := bruteWCE(exact, approx, 5)
-		r, err := VerifyWCE(exact, approx, Options{})
+		r, err := VerifyWCE(context.Background(), exact, approx, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestWCEWideAdder(t *testing.T) {
 	n, k := 12, 3
 	exact := gen.RippleCarryAdder(n)
 	approx := als.TruncatedAdder(n, k)
-	r, err := VerifyWCE(exact, approx, Options{})
+	r, err := VerifyWCE(context.Background(), exact, approx, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestWCEMultiplier(t *testing.T) {
 	exact := gen.ArrayMultiplier(n)
 	approx := als.TruncatedMultiplier(n, k)
 	want := bruteWCE(exact, approx, 2*n)
-	r, err := VerifyWCE(exact, approx, Options{})
+	r, err := VerifyWCE(context.Background(), exact, approx, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ import (
 //
 // The hash rows of one round satisfy the prefix property — row i is
 // sampled once and the round uses its first m rows — so the cell count
-// is monotone nonincreasing in m and the search for the right cell
-// granularity can proceed by binary search.
+// is monotone nonincreasing in m and the right cell granularity is
+// found by walking one row at a time from the previous round's boundary.
 //
 // Three scaling mechanisms sit on top of the base scheme:
 //
@@ -57,13 +57,20 @@ var (
 	hSupportAfter  = obs.Default.Histogram("approx.support_after", nil)
 )
 
+// The ApproxMC default guarantee ApproxCount resolves a zero Epsilon
+// or Delta to. Layers that compare guarantees (the cone store) resolve
+// with the same constants.
+const (
+	DefaultEpsilon = 0.8
+	DefaultDelta   = 0.2
+)
+
 // ApproxConfig tunes ApproxCount. The zero value uses the ApproxMC
-// defaults ε=0.8, δ=0.2 over all formula variables with the sparse
-// density schedule and support minimization enabled.
+// defaults ε=0.8, δ=0.2 over all formula variables.
 type ApproxConfig struct {
-	// Epsilon is the multiplicative tolerance (0 means 0.8).
+	// Epsilon is the multiplicative tolerance (0 means DefaultEpsilon).
 	Epsilon float64
-	// Delta is the failure probability (0 means 0.2).
+	// Delta is the failure probability (0 means DefaultDelta).
 	Delta float64
 	// Seed makes the XOR sampling deterministic; runs with the same
 	// seed, formula, and parameters return the same estimate. Rows are a
@@ -79,22 +86,9 @@ type ApproxConfig struct {
 	// rows range over. It must be an independent support of the formula
 	// (every model is uniquely determined by its projection onto the
 	// set), e.g. the encoded primary inputs of a Tseitin formula. Nil
-	// means all variables, which is always sound.
+	// means all variables, which is always sound. ApproxCount shrinks
+	// the set with MinimizeSupport before the first probe.
 	Sampling []int32
-	// HashDensity fixes the probability with which a hash row includes
-	// each sampling variable. 0 means the automatic sparse schedule
-	// (dense first rows decaying to a (log2 n + 4)/n floor); 0.5 is the
-	// classical dense family. Values are clamped to (0, 0.5].
-	HashDensity float64
-	// NoSupportMin skips independent-support minimization (ablation, or
-	// callers that already minimized).
-	NoSupportMin bool
-	// Bisect restores the pre-scaling boundary search: a fresh bisection
-	// over [0, n] every round instead of the walk from the previous
-	// round's boundary. Ablation only — the bisection probes low-m cells
-	// holding a large fraction of all models, which is exactly the cost
-	// the walk exists to avoid; estimates are identical either way.
-	Bisect bool
 	// Probes, when non-nil, memoizes probe outcomes across ApproxCount
 	// calls (the engine shares one per session, so structurally
 	// identical tasks solve each probe once). Estimates are identical
@@ -126,10 +120,10 @@ type ApproxResult struct {
 	// Pivot is the cell-size threshold ⌈9.84(1+ε/(1+ε))(1+1/ε)²⌉.
 	Pivot int64
 	// SupportBefore and SupportAfter are the sampling-set sizes around
-	// independent-support minimization (equal when it was skipped or
-	// found nothing to drop).
+	// independent-support minimization (equal when it found nothing to
+	// drop).
 	SupportBefore, SupportAfter int
-	// HashDensity is the mean row density of the hash family used.
+	// HashDensity is the mean row density of the last round's hash rows.
 	HashDensity float64
 	// Stats aggregates the exact-engine work across all probes.
 	Stats Stats
@@ -205,16 +199,12 @@ func rowHash(seed uint64, round, row, slot int) uint64 {
 }
 
 // rowDensity returns the variable-inclusion probability of hash row i
-// over an n-variable support. fixed > 0 pins every row to that density
-// (0.5 = the classical dense family); otherwise the automatic schedule
-// starts dense — the first rows cut the whole space and need full
-// mixing — and decays geometrically to a floor that keeps the expected
-// row width at log2(n)+4 variables, the sparse-hash regime in which
-// per-cell concentration still holds with the pivot's slack.
-func rowDensity(fixed float64, i, n int) float64 {
-	if fixed > 0 {
-		return math.Min(fixed, 0.5)
-	}
+// over an n-variable support. The schedule starts dense — the first
+// rows cut the whole space and need full mixing — and decays
+// geometrically to a floor that keeps the expected row width at
+// log2(n)+4 variables, the sparse-hash regime in which per-cell
+// concentration still holds with the pivot's slack.
+func rowDensity(i, n int) float64 {
 	if n <= 1 {
 		return 0.5
 	}
@@ -235,12 +225,12 @@ func rowDensity(fixed float64, i, n int) float64 {
 // threshold; a row that comes out empty (possible at floor density)
 // deterministically keeps one variable so it still halves the space
 // instead of poisoning every later prefix with a 0=1 contradiction.
-func sampleRows(seed uint64, round int, support []int32, fixed float64) ([]cnf.XorClause, float64) {
+func sampleRows(seed uint64, round int, support []int32) ([]cnf.XorClause, float64) {
 	n := len(support)
 	rows := make([]cnf.XorClause, n)
 	densitySum := 0.0
 	for i := range rows {
-		d := rowDensity(fixed, i, n)
+		d := rowDensity(i, n)
 		densitySum += d
 		hRowDensity.Observe(d)
 		threshold := uint64(d * math.MaxUint64)
@@ -292,17 +282,14 @@ func probeKey(fkey string, rows []cnf.XorClause) string {
 func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*ApproxResult, error) {
 	eps := cfg.Epsilon
 	if eps == 0 {
-		eps = 0.8
+		eps = DefaultEpsilon
 	}
 	delta := cfg.Delta
 	if delta == 0 {
-		delta = 0.2
+		delta = DefaultDelta
 	}
 	if eps <= 0 || delta <= 0 || delta >= 1 {
 		return nil, fmt.Errorf("counter: approx needs epsilon > 0 and 0 < delta < 1, got %g/%g", eps, delta)
-	}
-	if cfg.HashDensity < 0 || cfg.HashDensity > 0.5 {
-		return nil, fmt.Errorf("counter: approx hash density must be in [0, 0.5] (0 = auto), got %g", cfg.HashDensity)
 	}
 	rounds := cfg.Rounds
 	if rounds <= 0 {
@@ -324,9 +311,7 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 		sort.Slice(sampling, func(i, j int) bool { return sampling[i] < sampling[j] })
 	}
 	res.SupportBefore = len(sampling)
-	if !cfg.NoSupportMin {
-		sampling = MinimizeSupport(f, sampling)
-	}
+	sampling = MinimizeSupport(f, sampling)
 	res.SupportAfter = len(sampling)
 	res.Stats.SupportBefore = uint64(res.SupportBefore)
 	res.Stats.SupportAfter = uint64(res.SupportAfter)
@@ -418,7 +403,7 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 	for r := 0; r < rounds; r++ {
 		mApproxRounds.Inc()
 		// Sample the round's n hash rows once (prefix property).
-		rows, meanDensity := sampleRows(seed, r, sampling, cfg.HashDensity)
+		rows, meanDensity := sampleRows(seed, r, sampling)
 		res.HashDensity = meanDensity
 		// Smallest m with cellCount(m) <= pivot; counts are monotone
 		// nonincreasing in m, so the boundary is well defined and any
@@ -445,65 +430,29 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 			probes[m] = c
 			return c, nil
 		}
-		var m int
-		var c *big.Int
-		if cfg.Bisect {
-			// Ablation: the pre-scaling search — bisection over [0, n],
-			// seeded with the previous round's boundary when present.
-			lo, hi := 0, n
-			if prevM > 0 && prevM <= n {
-				c, err := cellAt(prevM)
-				if err != nil {
-					return bestEffort(err)
-				}
-				if c.Cmp(bigPivot) <= 0 {
-					hi = prevM
-				} else {
-					lo = prevM + 1
-				}
-			}
-			for lo < hi {
-				mid := (lo + hi) / 2
-				cm, err := cellAt(mid)
-				if err != nil {
-					return bestEffort(err)
-				}
-				if cm.Cmp(bigPivot) <= 0 {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			m = lo
-			var err error
+		m := prevM
+		if m < 0 || m > n {
+			m = n
+		}
+		c, err := cellAt(m)
+		if err != nil {
+			return bestEffort(err)
+		}
+		for c.Cmp(bigPivot) > 0 && m < n {
+			m++
 			if c, err = cellAt(m); err != nil {
 				return bestEffort(err)
 			}
-		} else {
-			m = prevM
-			if m < 0 || m > n {
-				m = n
-			}
-			var err error
-			if c, err = cellAt(m); err != nil {
+		}
+		for m > 0 {
+			below, err := cellAt(m - 1)
+			if err != nil {
 				return bestEffort(err)
 			}
-			for c.Cmp(bigPivot) > 0 && m < n {
-				m++
-				if c, err = cellAt(m); err != nil {
-					return bestEffort(err)
-				}
+			if below.Cmp(bigPivot) > 0 {
+				break
 			}
-			for m > 0 {
-				below, err := cellAt(m - 1)
-				if err != nil {
-					return bestEffort(err)
-				}
-				if below.Cmp(bigPivot) > 0 {
-					break
-				}
-				m, c = m-1, below
-			}
+			m, c = m-1, below
 		}
 		prevM = m
 		if m == 0 {

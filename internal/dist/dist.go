@@ -20,6 +20,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -116,24 +117,16 @@ func ltConst(c *circuit.Circuit, bits []int, k uint64) int {
 // VerifyERBiased verifies the error rate when input i is 1 with
 // probability biases[i] (independent inputs, dyadic probabilities).
 func VerifyERBiased(exact, approx *circuit.Circuit, biases []Bias, opt core.Options) (*core.Result, error) {
-	be, err := ApplyBias(exact, biases)
-	if err != nil {
-		return nil, err
-	}
-	ba, err := ApplyBias(approx, biases)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.VerifyER(be, ba, opt)
-	if err != nil {
-		return nil, err
-	}
-	r.Metric = "ER(biased)"
-	return r, nil
+	return biased("ER(biased)", core.MetricSpec{Kind: core.MetricER}, exact, approx, biases, opt)
 }
 
 // VerifyMEDBiased verifies the mean error distance under biased inputs.
 func VerifyMEDBiased(exact, approx *circuit.Circuit, biases []Bias, opt core.Options) (*core.Result, error) {
+	return biased("MED(biased)", core.MetricSpec{Kind: core.MetricMED}, exact, approx, biases, opt)
+}
+
+// biased verifies spec on the bias-expanded circuit pair.
+func biased(name string, spec core.MetricSpec, exact, approx *circuit.Circuit, biases []Bias, opt core.Options) (*core.Result, error) {
 	be, err := ApplyBias(exact, biases)
 	if err != nil {
 		return nil, err
@@ -142,11 +135,11 @@ func VerifyMEDBiased(exact, approx *circuit.Circuit, biases []Bias, opt core.Opt
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.VerifyMED(be, ba, opt)
+	r, err := core.Verify(context.Background(), be, ba, spec, opt)
 	if err != nil {
 		return nil, err
 	}
-	r.Metric = "MED(biased)"
+	r.Metric = name
 	return r, nil
 }
 
@@ -195,7 +188,7 @@ func conditional(name string, m *circuit.Circuit, weights []*big.Int, cond *circ
 	for j, o := range mouts {
 		cm.AddOutput(cm.AddGate(circuit.And, o, couts[0]), m.OutputName(j))
 	}
-	num, err := core.VerifyMiter(name, cm, weights, opt)
+	num, err := core.VerifyMiter(context.Background(), name, cm, weights, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +200,7 @@ func conditional(name string, m *circuit.Circuit, weights []*big.Int, cond *circ
 	}
 	condOuts := circuit.Append(condM, cond, ins2)
 	condM.AddOutput(condOuts[0], "cond")
-	den, err := core.VerifyMiter("cond", condM, []*big.Int{big.NewInt(1)}, opt)
+	den, err := core.VerifyMiter(context.Background(), "cond", condM, []*big.Int{big.NewInt(1)}, opt)
 	if err != nil {
 		return nil, err
 	}

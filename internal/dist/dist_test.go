@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -152,7 +153,7 @@ func TestConditionalER(t *testing.T) {
 	}
 	cond.AddOutput(acc, "c")
 
-	uncond, err := core.VerifyER(exact, approx, core.Options{})
+	uncond, err := core.Verify(context.Background(), exact, approx, core.MetricSpec{Kind: core.MetricER}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

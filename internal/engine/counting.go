@@ -110,6 +110,8 @@ func (b *countingBackend) Execute(ctx context.Context, req *Request) ([]TaskResu
 		completed atomic.Int64
 		firstErr  error
 		errOnce   sync.Once
+		panicked  any // first task panic, set once by panicOnce
+		panicOnce sync.Once
 		progMu    sync.Mutex
 		doneN     int // completed tasks, guarded by progMu
 		wg        sync.WaitGroup
@@ -117,6 +119,15 @@ func (b *countingBackend) Execute(ctx context.Context, req *Request) ([]TaskResu
 	cursor.Store(-1)
 	solve := func() {
 		defer wg.Done()
+		// A panic left on a pool goroutine would kill the process; catch
+		// it here and re-raise it on Execute's goroutine below, where the
+		// caller can recover it.
+		defer func() {
+			if r := recover(); r != nil {
+				panicOnce.Do(func() { panicked = r })
+				cancel()
+			}
+		}()
 		for {
 			j := int(cursor.Add(1))
 			if j >= len(req.Tasks) || gctx.Err() != nil {
@@ -150,6 +161,9 @@ func (b *countingBackend) Execute(ctx context.Context, req *Request) ([]TaskResu
 		go solve()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -300,27 +314,21 @@ func (b *countingBackend) solveTask(ctx context.Context, req *Request, j int, ca
 	return res, nil
 }
 
-// Approx guarantee defaults, mirroring counter.ApproxConfig's zero-value
-// resolution — the store compares guarantees literally, so both lookup
-// and record must present the resolved (ε, δ).
-const (
-	defaultApproxEpsilon = 0.8
-	defaultApproxDelta   = 0.2
-)
-
 // storeGuarantee is the resolved guarantee this backend's counts carry:
-// exact for the exact backends, the session's resolved (ε, δ) for the
-// approx backend.
+// exact for the exact backends, the session's (ε, δ) for the approx
+// backend, resolved with counter.ApproxCount's defaults — the store
+// compares guarantees literally, so lookup and record must both present
+// the resolved values.
 func (b *countingBackend) storeGuarantee(cfg *Config) store.Req {
 	if !b.approx {
 		return store.Req{Exact: true}
 	}
 	eps, delta := cfg.Epsilon, cfg.Delta
 	if eps <= 0 {
-		eps = defaultApproxEpsilon
+		eps = counter.DefaultEpsilon
 	}
 	if delta <= 0 {
-		delta = defaultApproxDelta
+		delta = counter.DefaultDelta
 	}
 	return store.Req{Epsilon: eps, Delta: delta}
 }
@@ -391,15 +399,12 @@ func (b *countingBackend) approxTask(ctx context.Context, req *Request, f *cnf.F
 		}
 	}
 	ar, err := counter.ApproxCount(ctx, f, counter.ApproxConfig{
-		Epsilon:      req.Config.Epsilon,
-		Delta:        req.Config.Delta,
-		Seed:         req.Config.Seed,
-		Sampling:     inputs,
-		HashDensity:  req.Config.HashDensity,
-		NoSupportMin: req.Config.NoSupportMin,
-		Bisect:       req.Config.ApproxBisect,
-		Probes:       probes,
-		Solver:       solverCfg,
+		Epsilon:  req.Config.Epsilon,
+		Delta:    req.Config.Delta,
+		Seed:     req.Config.Seed,
+		Sampling: inputs,
+		Probes:   probes,
+		Solver:   solverCfg,
 	})
 	if err != nil {
 		return nil, err

@@ -93,11 +93,11 @@ type Config struct {
 	SimWorkers int
 	// Epsilon is the multiplicative tolerance of the approx backend:
 	// each task's count is within a (1+ε) factor of the exact count with
-	// probability 1-δ. 0 means the ApproxMC default of 0.8. Exact
-	// backends ignore it.
+	// probability 1-δ. 0 means counter.DefaultEpsilon. Exact backends
+	// ignore it.
 	Epsilon float64
 	// Delta is the per-task failure probability of the approx backend.
-	// 0 means the default of 0.2. Exact backends ignore it.
+	// 0 means counter.DefaultDelta. Exact backends ignore it.
 	Delta float64
 	// Seed makes the approx backend's XOR sampling deterministic. Hash
 	// rows are a pure function of Seed and the row's position — never of
@@ -105,18 +105,6 @@ type Config struct {
 	// any worker count and structurally identical tasks draw identical
 	// rows (the property the session probe cache exploits).
 	Seed int64
-	// HashDensity pins the approx backend's hash-row density: the
-	// probability each sampling variable joins a parity row. 0 means the
-	// automatic sparse schedule; 0.5 is the classical dense family
-	// (ablation baseline).
-	HashDensity float64
-	// NoSupportMin disables the approx backend's independent-support
-	// minimization pass (ablation).
-	NoSupportMin bool
-	// ApproxBisect restores the approx backend's pre-scaling boundary
-	// bisection instead of the boundary walk (ablation; estimates are
-	// identical either way).
-	ApproxBisect bool
 }
 
 // CountTask is one single-output weighted-counting job of a session:

@@ -287,3 +287,24 @@ func TestCompletedResultsSurviveLateDeadline(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskPanicReachesCaller: a task that panics on a pool goroutine
+// (here: a task without a sub-miter) is re-raised on Execute's own
+// goroutine, where the caller can recover it, instead of killing the
+// process.
+func TestTaskPanicReachesCaller(t *testing.T) {
+	_, req := medRequest(t, 4)
+	req.Tasks = append(req.Tasks[:0:0], req.Tasks...)
+	req.Tasks[len(req.Tasks)-1].Sub = nil
+	req.Config.Workers = 2
+	b, err := engine.Lookup("dpll")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Execute returned normally; want the task panic re-raised")
+		}
+	}()
+	b.Execute(context.Background(), req)
+}

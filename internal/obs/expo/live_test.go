@@ -2,6 +2,7 @@ package expo
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -30,7 +31,7 @@ func TestLiveIntrospectedVerify(t *testing.T) {
 	apx := als.LowerORAdder(8, 3)
 	opt := core.Options{Workers: 4}
 
-	baseline, err := core.VerifyMED(exact, apx, opt)
+	baseline, err := core.Verify(context.Background(), exact, apx, core.MetricSpec{Kind: core.MetricMED}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestLiveIntrospectedVerify(t *testing.T) {
 		}
 	}()
 
-	res, err := core.VerifyMED(exact, apx, opt)
+	res, err := core.Verify(context.Background(), exact, apx, core.MetricSpec{Kind: core.MetricMED}, opt)
 	close(solveDone)
 	<-scrapeDone
 	if err != nil {

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func TestTracedRunStatsConsistent(t *testing.T) {
 	approx := als.LowerORAdder(8, 3)
 	opt := core.Options{Workers: 4}
 
-	baseline, err := core.VerifyMED(exact, approx, opt)
+	baseline, err := core.Verify(context.Background(), exact, approx, core.MetricSpec{Kind: core.MetricMED}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestTracedRunStatsConsistent(t *testing.T) {
 	tr := obs.NewTracer(&buf)
 	tr.SetHotEvery(1) // sample everything: schema coverage matters here
 	obs.SetTracer(tr)
-	res, err := core.VerifyMED(exact, approx, opt)
+	res, err := core.Verify(context.Background(), exact, approx, core.MetricSpec{Kind: core.MetricMED}, opt)
 	obs.SetTracer(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@
 //	/metrics, /debug/...       the obs/expo introspection handler
 //
 // Exact results served through the store are bit-identical to
-// standalone core.Verify* calls; approximate results reuse only entries
+// standalone core.Verify calls; approximate results reuse only entries
 // whose (ε, δ) guarantee is at least as tight as requested.
 package serve
 
@@ -43,6 +43,7 @@ var (
 	mRejected  = obs.Default.Counter("serve.jobs_rejected")
 	mDone      = obs.Default.Counter("serve.jobs_done")
 	mFailed    = obs.Default.Counter("serve.jobs_failed")
+	mPanicked  = obs.Default.Counter("serve.jobs_panicked")
 	gQueue     = obs.Default.Gauge("serve.queue_depth")
 	hJobRun    = obs.Default.Histogram("serve.job_seconds", nil)
 )
@@ -262,8 +263,7 @@ func (s *Server) runJob(j *Job) {
 		"run_id": j.RunID, "job_id": j.ID, "session": sessionName(j.specs),
 	})
 
-	ctx := obs.WithRun(s.jobCtx, j.RunID)
-	sr, err := core.VerifyMetrics(ctx, j.exact, j.approx, j.specs, j.opt)
+	sr, err := verifyJob(obs.WithRun(s.jobCtx, j.RunID), j)
 
 	s.mu.Lock()
 	j.finished = time.Now()
@@ -288,6 +288,20 @@ func (s *Server) runJob(j *Job) {
 		f["error"] = err.Error()
 	}
 	obs.Stream.Publish("job_done", f)
+}
+
+// verifyJob runs the job's session. A panic anywhere in the library
+// becomes the job's error (and counts in serve.jobs_panicked) instead
+// of taking down the process and its warm store; the engine re-raises
+// panics from its worker goroutines on this one, so they land here too.
+func verifyJob(ctx context.Context, j *Job) (sr *core.SessionResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			mPanicked.Inc()
+			sr, err = nil, fmt.Errorf("serve: job panicked: %v", r)
+		}
+	}()
+	return core.VerifyMetrics(ctx, j.exact, j.approx, j.specs, j.opt)
 }
 
 func sessionName(specs []core.MetricSpec) string {

@@ -17,6 +17,7 @@ import (
 	"vacsem/internal/blif"
 	"vacsem/internal/circuit"
 	"vacsem/internal/core"
+	"vacsem/internal/engine"
 	"vacsem/internal/gen"
 	"vacsem/internal/store"
 )
@@ -415,5 +416,44 @@ func TestServeStoreEndpointAndMetrics(t *testing.T) {
 		if !strings.Contains(body, name) {
 			t.Errorf("/metrics is missing %s", name)
 		}
+	}
+}
+
+// panicBackend panics in Execute, standing in for a library bug.
+type panicBackend struct{}
+
+func (panicBackend) Name() string { return core.Method(99).String() }
+func (panicBackend) Execute(context.Context, *engine.Request) ([]engine.TaskResult, error) {
+	panic("backend bug")
+}
+
+// TestServeJobPanicIsolated: a job whose backend panics ends in
+// StateError with the panic counted in serve.jobs_panicked, and the
+// server keeps running jobs afterwards.
+func TestServeJobPanicIsolated(t *testing.T) {
+	engine.Register(panicBackend{})
+	s, hs := newTestServer(t, Config{Workers: 1})
+	before := mPanicked.Value()
+	j := &Job{
+		exact:  gen.RippleCarryAdder(4),
+		approx: als.LowerORAdder(4, 2),
+		specs:  []core.MetricSpec{{Kind: core.MetricER}},
+		opt:    core.Options{Method: core.Method(99)},
+	}
+	if err := s.submit(j); err != nil {
+		t.Fatalf("submit: %s", err.msg)
+	}
+	<-j.done
+	s.mu.Lock()
+	state, msg := j.state, j.errMsg
+	s.mu.Unlock()
+	if state != StateError || !strings.Contains(msg, "backend bug") {
+		t.Errorf("panicking job: state %q, error %q; want %q with the panic value", state, msg, StateError)
+	}
+	if got := mPanicked.Value() - before; got != 1 {
+		t.Errorf("serve.jobs_panicked advanced by %d, want 1", got)
+	}
+	if st := runJobHTTP(t, hs.URL, adderRequest(t, 4, 2)); len(st.Result.Metrics) != 2 {
+		t.Errorf("job after the panic returned %d metrics, want 2", len(st.Result.Metrics))
 	}
 }

@@ -10,14 +10,12 @@ import (
 )
 
 // TestCountOnesPerOutputCtxMatches pins that the chunked, pollable loop
-// computes the same counts as the legacy exhaustive walk.
+// computes the same counts as the reference interpreter's exhaustive
+// walk.
 func TestCountOnesPerOutputCtxMatches(t *testing.T) {
 	c := testutil.RandomCircuit(14, 120, 3, 99)
-	want := CountOnesPerOutput(c)
-	got, err := CountOnesPerOutputCtx(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := interpCountOnes(c)
+	got := countOnes(t, c)
 	if len(got) != len(want) {
 		t.Fatalf("len = %d, want %d", len(got), len(want))
 	}
@@ -38,7 +36,7 @@ func TestCountOnesPerOutputCtxCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := CountOnesPerOutputCtx(ctx, c)
+	_, err := CountOnesPerOutputWorkers(ctx, c, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

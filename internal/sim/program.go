@@ -874,23 +874,15 @@ func (p *Program) countBlocks(ctx context.Context, workers int, blocks, total ui
 // i's word w) through the tape in BatchWords-wide batches, invoking
 // gather(v, w0, n) after each batch with the value array, the base word
 // index, and the number of valid words n (n < BatchWords only on the
-// final partial batch). One ctx poll happens per poll interval of
-// batches.
-func (p *Program) runVectors(ctx context.Context, vectors [][]uint64, words int, gather func(v []uint64, w0, n int)) error {
+// final partial batch).
+func (p *Program) runVectors(vectors [][]uint64, words int, gather func(v []uint64, w0, n int)) {
 	if len(vectors) != len(p.inputs) {
 		panic(fmt.Sprintf("sim: runVectors got %d input rows, want %d", len(vectors), len(p.inputs)))
 	}
 	vp := p.getVals()
 	defer p.putVals(vp)
 	v := *vp
-	_, poll := chunkBatches(len(p.ins), 0, 1)
-	pollCtx := ctx.Done() != nil
-	for w0, batch := 0, uint64(0); w0 < words; w0, batch = w0+BatchWords, batch+1 {
-		if pollCtx && batch%poll == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
+	for w0 := 0; w0 < words; w0 += BatchWords {
 		n := words - w0
 		if n > BatchWords {
 			n = BatchWords
@@ -908,5 +900,4 @@ func (p *Program) runVectors(ctx context.Context, vectors [][]uint64, words int,
 		}
 		gather(v, w0, n)
 	}
-	return nil
 }

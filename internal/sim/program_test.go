@@ -25,10 +25,7 @@ func TestProgramMatchesEngineAllNodes(t *testing.T) {
 		words := 1 + int(seed%(2*BatchWords+3)) // exercises full and partial batches
 		vectors := RandomVectors(nIn, words, rng)
 
-		sigs, err := RunAllNodesCtx(context.Background(), c, vectors, words)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sigs := RunAllNodes(c, vectors, words)
 		e := NewEngine(c)
 		in := make([]uint64, nIn)
 		for w := 0; w < words; w++ {
@@ -172,62 +169,15 @@ func TestComponentProgramNoChecksCountsAll(t *testing.T) {
 	}
 }
 
-// TestRunHelpersCancel pins that the vector-streaming helpers honor an
+// TestRunHelpersCancel pins that the exhaustive count honors an
 // already-cancelled context.
 func TestRunHelpersCancel(t *testing.T) {
 	c := testutil.RandomCircuit(8, 30, 2, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	vectors := RandomVectors(8, 64, rand.New(rand.NewSource(1)))
-	if _, err := RunManyCtx(ctx, c, vectors, 64); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunManyCtx err = %v, want Canceled", err)
-	}
-	if _, err := RunAllNodesCtx(ctx, c, vectors, 64); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunAllNodesCtx err = %v, want Canceled", err)
-	}
-	if _, err := SignalProbabilitiesCtx(ctx, c, 64, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("SignalProbabilitiesCtx err = %v, want Canceled", err)
-	}
 	if _, err := CountOnesPerOutputWorkers(ctx, c, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("CountOnesPerOutputWorkers err = %v, want Canceled", err)
 	}
-}
-
-// TestSignalProbabilitiesSeedStable pins that the kernel rewrite kept
-// the random stream order (word-major, input-minor): same seed, same
-// estimates as the helper always produced.
-func TestSignalProbabilitiesSeedStable(t *testing.T) {
-	c := testutil.RandomCircuit(5, 20, 2, 17)
-	// Reference: interpreter loop drawing rng in the documented order.
-	rng := rand.New(rand.NewSource(99))
-	e := NewEngine(c)
-	ones := make([]uint64, len(c.Nodes))
-	in := make([]uint64, 5)
-	const words = 32
-	for w := 0; w < words; w++ {
-		for i := range in {
-			in[i] = rng.Uint64()
-		}
-		e.Run(in)
-		for id := range ones {
-			ones[id] += uint64(popcount(e.Val(id)))
-		}
-	}
-	got := SignalProbabilities(c, words, 99)
-	for id := range ones {
-		want := float64(ones[id]) / float64(words*64)
-		if got[id] != want {
-			t.Fatalf("node %d: prob %v, want %v", id, got[id], want)
-		}
-	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // TestFusedMatchesIdentityTape pins the fused compiler's core property:

@@ -9,8 +9,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"math/bits"
 	"math/rand"
 	"time"
 
@@ -36,91 +34,6 @@ func InputWord(i int, block uint64) uint64 { return simword.InputWord(i, block) 
 // BlockMask returns the mask of valid pattern bits in block `block` when
 // only `total` patterns exist overall (total > block*64).
 func BlockMask(block, total uint64) uint64 { return simword.BlockMask(block, total) }
-
-// Engine evaluates a fixed circuit on blocks of 64 patterns by walking
-// the node array directly. It is the reference interpreter the compiled
-// Program is tested (and benchmarked) against; hot paths use Compile
-// instead. The zero value is not usable; create engines with NewEngine.
-type Engine struct {
-	c    *circuit.Circuit
-	vals []uint64 // one word per node
-}
-
-// NewEngine creates a simulation engine for the circuit.
-func NewEngine(c *circuit.Circuit) *Engine {
-	return &Engine{c: c, vals: make([]uint64, len(c.Nodes))}
-}
-
-// Run evaluates one block: in[i] is the simulation word of the i-th primary
-// input. After Run, node words are available through Val and output words
-// through Out.
-func (e *Engine) Run(in []uint64) {
-	c := e.c
-	if len(in) != len(c.Inputs) {
-		panic(fmt.Sprintf("sim: Run got %d input words, want %d", len(in), len(c.Inputs)))
-	}
-	v := e.vals
-	v[0] = 0
-	for i, id := range c.Inputs {
-		v[id] = in[i]
-	}
-	var args [3]uint64
-	for id := 1; id < len(c.Nodes); id++ {
-		nd := &c.Nodes[id]
-		switch nd.Kind {
-		case circuit.Input:
-			// already set
-		case circuit.And:
-			v[id] = v[nd.Fanins[0]] & v[nd.Fanins[1]]
-		case circuit.Or:
-			v[id] = v[nd.Fanins[0]] | v[nd.Fanins[1]]
-		case circuit.Xor:
-			v[id] = v[nd.Fanins[0]] ^ v[nd.Fanins[1]]
-		case circuit.Not:
-			v[id] = ^v[nd.Fanins[0]]
-		default:
-			a := args[:len(nd.Fanins)]
-			for j, f := range nd.Fanins {
-				a[j] = v[f]
-			}
-			v[id] = nd.Kind.EvalWord(a)
-		}
-	}
-}
-
-// Val returns the last simulation word of a node.
-func (e *Engine) Val(node int) uint64 { return e.vals[node] }
-
-// Out returns the last simulation word of the i-th primary output.
-func (e *Engine) Out(i int) uint64 { return e.vals[e.c.Outputs[i]] }
-
-// CountOnesExhaustive counts, for the single-output circuit c, the number
-// of input patterns (all 2^I of them) for which the output is 1. It panics
-// when the circuit has more than 62 inputs (the count would not fit the
-// iteration space); callers guard with their own limits long before that.
-func CountOnesExhaustive(c *circuit.Circuit) uint64 {
-	if len(c.Outputs) != 1 {
-		panic("sim: CountOnesExhaustive needs exactly one output")
-	}
-	counts := CountOnesPerOutput(c)
-	return counts[0]
-}
-
-// CountOnesPerOutput exhaustively counts, for every primary output, the
-// number of input patterns under which that output is 1.
-func CountOnesPerOutput(c *circuit.Circuit) []uint64 {
-	counts, err := CountOnesPerOutputCtx(context.Background(), c)
-	if err != nil { // unreachable: Background is never cancelled
-		panic(err)
-	}
-	return counts
-}
-
-// CountOnesPerOutputCtx is CountOnesPerOutput with cooperative
-// cancellation, running single-threaded. See CountOnesPerOutputWorkers.
-func CountOnesPerOutputCtx(ctx context.Context, c *circuit.Circuit) ([]uint64, error) {
-	return CountOnesPerOutputWorkers(ctx, c, 1)
-}
 
 // CountOnesPerOutputWorkers exhaustively counts, for every primary
 // output, the number of input patterns under which that output is 1,
@@ -177,109 +90,36 @@ func RandomVectors(nInputs, words int, rng *rand.Rand) [][]uint64 {
 // vectors (vectors[i][w] is input i's word w) and returns the output
 // vectors indexed [output][word].
 func RunMany(c *circuit.Circuit, vectors [][]uint64, words int) [][]uint64 {
-	out, err := RunManyCtx(context.Background(), c, vectors, words)
-	if err != nil { // unreachable: Background is never cancelled
-		panic(err)
-	}
-	return out
-}
-
-// RunManyCtx is RunMany with cooperative cancellation: the word loop
-// runs through the compiled kernel's chunked batches and polls ctx
-// between chunks.
-func RunManyCtx(ctx context.Context, c *circuit.Circuit, vectors [][]uint64, words int) ([][]uint64, error) {
 	p := CompileOutputs(c)
 	out := make([][]uint64, len(c.Outputs))
 	for j := range out {
 		out[j] = make([]uint64, words)
 	}
-	err := p.runVectors(ctx, vectors, words, func(v []uint64, w0, n int) {
+	p.runVectors(vectors, words, func(v []uint64, w0, n int) {
 		for j, o := range p.outputs {
 			copy(out[j][w0:w0+n], v[o:o+int32(n)])
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
 // RunAllNodes evaluates the circuit on `words` blocks of precomputed
 // input vectors and returns the full per-node signatures, indexed
 // [node][word]. Signatures are the workhorse of simulation-guided
 // approximate synthesis: two nodes with close signatures are candidates
-// for substitution.
+// for substitution. Full-circuit programs assign slot i to node i, so
+// the signatures are gathered straight out of the kernel's value array.
 func RunAllNodes(c *circuit.Circuit, vectors [][]uint64, words int) [][]uint64 {
-	sigs, err := RunAllNodesCtx(context.Background(), c, vectors, words)
-	if err != nil { // unreachable: Background is never cancelled
-		panic(err)
-	}
-	return sigs
-}
-
-// RunAllNodesCtx is RunAllNodes with cooperative cancellation. Full-
-// circuit programs assign slot i to node i, so the per-node signatures
-// are gathered straight out of the kernel's value array.
-func RunAllNodesCtx(ctx context.Context, c *circuit.Circuit, vectors [][]uint64, words int) ([][]uint64, error) {
 	p := Compile(c)
 	sigs := make([][]uint64, len(c.Nodes))
 	for id := range sigs {
 		sigs[id] = make([]uint64, words)
 	}
-	err := p.runVectors(ctx, vectors, words, func(v []uint64, w0, n int) {
+	p.runVectors(vectors, words, func(v []uint64, w0, n int) {
 		for id := range sigs {
 			o := int32(id) * BatchWords
 			copy(sigs[id][w0:w0+n], v[o:o+int32(n)])
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return sigs, nil
-}
-
-// SignalProbabilities estimates the probability of each node being 1 under
-// uniformly random inputs, using `words` blocks of 64 random patterns.
-func SignalProbabilities(c *circuit.Circuit, words int, seed int64) []float64 {
-	prob, err := SignalProbabilitiesCtx(context.Background(), c, words, seed)
-	if err != nil { // unreachable: Background is never cancelled
-		panic(err)
-	}
-	return prob
-}
-
-// SignalProbabilitiesCtx is SignalProbabilities with cooperative
-// cancellation. The random stream is drawn word-major then input-minor
-// — the order the pre-kernel implementation used — so estimates for a
-// given seed are unchanged.
-func SignalProbabilitiesCtx(ctx context.Context, c *circuit.Circuit, words int, seed int64) ([]float64, error) {
-	rng := rand.New(rand.NewSource(seed))
-	vectors := make([][]uint64, len(c.Inputs))
-	for i := range vectors {
-		vectors[i] = make([]uint64, words)
-	}
-	for w := 0; w < words; w++ {
-		for i := range vectors {
-			vectors[i][w] = rng.Uint64()
-		}
-	}
-	p := Compile(c)
-	ones := make([]uint64, len(c.Nodes))
-	err := p.runVectors(ctx, vectors, words, func(v []uint64, w0, n int) {
-		for id := range ones {
-			o := int32(id) * BatchWords
-			for w := int32(0); w < int32(n); w++ {
-				ones[id] += uint64(bits.OnesCount64(v[o+w]))
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	prob := make([]float64, len(c.Nodes))
-	totalPatterns := float64(words * 64)
-	for id := range prob {
-		prob[id] = float64(ones[id]) / totalPatterns
-	}
-	return prob, nil
+	return sigs
 }

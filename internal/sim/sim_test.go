@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,16 @@ import (
 	"vacsem/internal/circuit"
 	"vacsem/internal/testutil"
 )
+
+// countOnes is the serial exhaustive count of every output of c.
+func countOnes(t *testing.T, c *circuit.Circuit) []uint64 {
+	t.Helper()
+	counts, err := CountOnesPerOutputWorkers(context.Background(), c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return counts
+}
 
 func TestInputWordBasePatterns(t *testing.T) {
 	// Bit p of InputWord(i, 0) must equal bit i of pattern index p.
@@ -49,7 +60,7 @@ func TestExhaustiveCountsMatchBrute(t *testing.T) {
 		nIn := 1 + int(seed%9)
 		c := testutil.RandomCircuit(nIn, 4+int(seed*5%30), 3, seed)
 		want := testutil.CountOnesBrute(c)
-		got := CountOnesPerOutput(c)
+		got := countOnes(t, c)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("seed %d out %d: %d != %d", seed, j, got[j], want[j])
@@ -63,7 +74,7 @@ func TestCountOnesExhaustiveSingle(t *testing.T) {
 	a := c.AddInput("a")
 	b := c.AddInput("b")
 	c.AddOutput(c.AddGate(circuit.And, a, b), "y")
-	if n := CountOnesExhaustive(c); n != 1 {
+	if n := countOnes(t, c)[0]; n != 1 {
 		t.Errorf("count = %d, want 1", n)
 	}
 }
@@ -71,7 +82,7 @@ func TestCountOnesExhaustiveSingle(t *testing.T) {
 func TestCountOnesZeroInputCircuit(t *testing.T) {
 	c := circuit.New("const")
 	c.AddOutput(c.Const1(), "y")
-	if n := CountOnesExhaustive(c); n != 1 {
+	if n := countOnes(t, c)[0]; n != 1 {
 		t.Errorf("const1 with no inputs: count = %d, want 1", n)
 	}
 }
@@ -123,27 +134,6 @@ func TestRunManyAndRunAllNodes(t *testing.T) {
 	}
 }
 
-func TestSignalProbabilities(t *testing.T) {
-	// XOR of two inputs has probability 1/2; AND has 1/4.
-	c := circuit.New("p")
-	a := c.AddInput("a")
-	b := c.AddInput("b")
-	x := c.AddGate(circuit.Xor, a, b)
-	g := c.AddGate(circuit.And, a, b)
-	c.AddOutput(x, "x")
-	c.AddOutput(g, "g")
-	p := SignalProbabilities(c, 512, 1)
-	if p[x] < 0.45 || p[x] > 0.55 {
-		t.Errorf("P(xor) = %v, want ~0.5", p[x])
-	}
-	if p[g] < 0.2 || p[g] > 0.3 {
-		t.Errorf("P(and) = %v, want ~0.25", p[g])
-	}
-	if p[0] != 0 {
-		t.Errorf("P(const0) = %v", p[0])
-	}
-}
-
 // Property: counting ones of an OR over independent inputs obeys
 // inclusion-exclusion (spot sanity via quick).
 func TestOrCountProperty(t *testing.T) {
@@ -156,7 +146,7 @@ func TestOrCountProperty(t *testing.T) {
 		}
 		c.AddOutput(cur, "y")
 		want := uint64(1)<<uint(n) - 1 // all patterns except all-zero
-		return CountOnesExhaustive(c) == want
+		return countOnes(t, c)[0] == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -131,8 +131,8 @@ func VerifyMetrics(ctx context.Context, exact, approx *Circuit, specs []MetricSp
 }
 
 // ErrTimeout is returned when Options.TimeLimit expires. Cancellation
-// through a caller-supplied context (the Verify*Context variants) is
-// reported as the context's own error instead.
+// through a caller-supplied context (VerifyMetrics and the *Context
+// functions) is reported as the context's own error instead.
 var ErrTimeout = core.ErrTimeout
 
 // ErrTooLarge is returned by MethodEnum beyond 62 inputs.
@@ -148,68 +148,72 @@ type WCEResult = core.WCEResult
 // VerifyWCE computes the exact worst-case error max|int(y)-int(y')| by
 // binary search over threshold miters with early-exit SAT queries.
 func VerifyWCE(exact, approx *Circuit, opt Options) (*WCEResult, error) {
-	return core.VerifyWCE(exact, approx, opt)
+	return core.VerifyWCE(context.Background(), exact, approx, opt)
 }
 
 // VerifyWCEContext is VerifyWCE with cooperative cancellation.
 func VerifyWCEContext(ctx context.Context, exact, approx *Circuit, opt Options) (*WCEResult, error) {
-	return core.VerifyWCEContext(ctx, exact, approx, opt)
+	return core.VerifyWCE(ctx, exact, approx, opt)
 }
 
 // VerifyER verifies the error rate of approx against exact.
 func VerifyER(exact, approx *Circuit, opt Options) (*Result, error) {
-	return core.VerifyER(exact, approx, opt)
+	return VerifyERContext(context.Background(), exact, approx, opt)
 }
 
 // VerifyERContext is VerifyER with cooperative cancellation: the
 // context reaches the solver's inner loops, so cancelling it aborts the
 // verification within one poll interval.
 func VerifyERContext(ctx context.Context, exact, approx *Circuit, opt Options) (*Result, error) {
-	return core.VerifyERContext(ctx, exact, approx, opt)
+	return core.Verify(ctx, exact, approx, MetricSpec{Kind: MetricER}, opt)
 }
 
 // VerifyMED verifies the mean error distance (outputs read as unsigned
 // binary numbers, least-significant bit first).
 func VerifyMED(exact, approx *Circuit, opt Options) (*Result, error) {
-	return core.VerifyMED(exact, approx, opt)
+	return VerifyMEDContext(context.Background(), exact, approx, opt)
 }
 
 // VerifyMEDContext is VerifyMED with cooperative cancellation.
 func VerifyMEDContext(ctx context.Context, exact, approx *Circuit, opt Options) (*Result, error) {
-	return core.VerifyMEDContext(ctx, exact, approx, opt)
+	return core.Verify(ctx, exact, approx, MetricSpec{Kind: MetricMED}, opt)
 }
 
 // VerifyMHD verifies the mean Hamming distance.
 func VerifyMHD(exact, approx *Circuit, opt Options) (*Result, error) {
-	return core.VerifyMHD(exact, approx, opt)
+	return VerifyMHDContext(context.Background(), exact, approx, opt)
 }
 
 // VerifyMHDContext is VerifyMHD with cooperative cancellation.
 func VerifyMHDContext(ctx context.Context, exact, approx *Circuit, opt Options) (*Result, error) {
-	return core.VerifyMHDContext(ctx, exact, approx, opt)
+	return core.Verify(ctx, exact, approx, MetricSpec{Kind: MetricMHD}, opt)
 }
 
 // VerifyThresholdProb verifies P(|int(y) - int(y')| > t).
 func VerifyThresholdProb(exact, approx *Circuit, t *big.Int, opt Options) (*Result, error) {
-	return core.VerifyThresholdProb(exact, approx, t, opt)
+	return VerifyThresholdProbContext(context.Background(), exact, approx, t, opt)
 }
 
 // VerifyThresholdProbContext is VerifyThresholdProb with cooperative
-// cancellation.
+// cancellation. t is copied, so the caller may reuse it at once.
 func VerifyThresholdProbContext(ctx context.Context, exact, approx *Circuit, t *big.Int, opt Options) (*Result, error) {
-	return core.VerifyThresholdProbContext(ctx, exact, approx, t, opt)
+	var tc *big.Int
+	if t != nil {
+		tc = new(big.Int).Set(t)
+	}
+	return core.Verify(ctx, exact, approx, MetricSpec{Kind: MetricThresholdProb, Threshold: tc}, opt)
 }
 
 // VerifyMiter verifies a user-supplied deviation miter with per-output
 // weights: the metric value is sum_j weight_j * P(output_j = 1). This is
 // the extension point for custom average-error metrics.
 func VerifyMiter(name string, m *Circuit, weights []*big.Int, opt Options) (*Result, error) {
-	return core.VerifyMiter(name, m, weights, opt)
+	return core.VerifyMiter(context.Background(), name, m, weights, opt)
 }
 
 // VerifyMiterContext is VerifyMiter with cooperative cancellation.
 func VerifyMiterContext(ctx context.Context, name string, m *Circuit, weights []*big.Int, opt Options) (*Result, error) {
-	return core.VerifyMiterContext(ctx, name, m, weights, opt)
+	return core.VerifyMiter(ctx, name, m, weights, opt)
 }
 
 // AppendCircuit instantiates src inside dst, connecting src's primary
