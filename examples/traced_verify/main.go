@@ -148,8 +148,7 @@ func printTree(s *span, depth int) {
 	case "run":
 		label = fmt.Sprintf("run metric=%v backend=%v", s.fields["metric"], s.fields["backend"])
 	case "backend":
-		label = fmt.Sprintf("backend %v (%v subs, %v workers)",
-			s.fields["backend"], s.fields["subs"], s.fields["workers"])
+		label = fmt.Sprintf("backend %v (%v tasks)", s.fields["backend"], s.fields["tasks"])
 	case "sub_miter":
 		stats, _ := s.fields["stats"].(map[string]any)
 		label = fmt.Sprintf("sub_miter %v count=%v dec=%.0f sim=%.0f",

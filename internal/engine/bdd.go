@@ -2,17 +2,16 @@ package engine
 
 import (
 	"context"
-	"time"
 
 	"vacsem/internal/bdd"
 	"vacsem/internal/circuit"
-	"vacsem/internal/obs"
 	"vacsem/internal/synth"
 )
 
 // bddBackend verifies through decision diagrams: synthesize the session
-// miter, build one ROBDD per task bit, and count over the diagrams —
-// the prior-art flow of the paper's references [3]-[6]. One manager is
+// miter, restricted to the outputs of the tasks left to the backend,
+// build one ROBDD per task bit, and count over the diagrams — the
+// prior-art flow of the paper's references [3]-[6]. One manager is
 // shared across every task (and therefore every metric of the session),
 // so structurally shared deviation logic is built once. Explosion
 // surfaces as bdd.ErrNodeLimit; cancellation is polled inside the ITE
@@ -21,28 +20,11 @@ type bddBackend struct{}
 
 func (bddBackend) Name() string { return "bdd" }
 
-func (bddBackend) Execute(ctx context.Context, req *Request) ([]TaskResult, error) {
-	// The apply loop's poll is tick-based; check once up front so an
-	// already-ended context never starts a build.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	work := req.Miter
+func (bddBackend) Count(ctx context.Context, req *Request, todo []int, emit *Emitter) error {
+	work := outputsOf(req.Miter, todo)
 	if !req.Config.NoSynth {
 		work = synth.Compress(work)
 	}
-	tr := obs.Active()
-	var beSpan obs.SpanID
-	if tr != nil {
-		beSpan = tr.StartSpan(obs.SpanFrom(ctx), "backend", obs.Fields{
-			"backend": "bdd", "session": req.Session,
-			"tasks": len(req.Tasks), "inputs": work.NumInputs(),
-			"node_limit": req.Config.BDDNodeLimit,
-		})
-		ctx = obs.WithSpan(ctx, beSpan) // bdd_growth events parent here
-		defer tr.EndSpan(beSpan, "backend", nil)
-	}
-	start := time.Now()
 	mgr := bdd.New(work.NumInputs(), req.Config.BDDNodeLimit)
 	if req.Config.BDDReorder {
 		mgr.EnableAutoReorder()
@@ -53,63 +35,30 @@ func (bddBackend) Execute(ctx context.Context, req *Request) ([]TaskResult, erro
 	// diagrams is routinely bigger than both, and is exactly where
 	// fixed-order BDD flows blow their node budget.
 	targets := make([]int, 0, len(work.Outputs)) // node ids to build
-	targetAt := make([]int, len(work.Outputs))   // task -> index in targets
-	pairTask := make([]bool, len(work.Outputs))  // task counted as a pair?
-	for j, o := range work.Outputs {
-		nd := &work.Nodes[o]
-		if nd.Kind == circuit.Xor {
-			targetAt[j] = len(targets)
-			pairTask[j] = true
+	targetAt := make([]int, len(work.Outputs))   // output -> index in targets
+	pairTask := make([]bool, len(work.Outputs))  // output counted as a pair?
+	for i, o := range work.Outputs {
+		targetAt[i] = len(targets)
+		if nd := &work.Nodes[o]; nd.Kind == circuit.Xor {
+			pairTask[i] = true
 			targets = append(targets, nd.Fanins[0], nd.Fanins[1])
 			continue
 		}
-		targetAt[j] = len(targets)
 		targets = append(targets, o)
 	}
-	mgr.SetContext(ctx)
+	mgr.SetContext(ctx) // bdd_growth events parent to the backend span
 	refs, err := mgr.BuildNodesOrdered(work, bdd.DFSOrder(work), targets)
 	mgr.SetContext(nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	results := make([]TaskResult, len(req.Tasks))
-	for j := range req.Tasks {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var span obs.SpanID
-		if tr != nil {
-			span = tr.StartSpan(beSpan, "sub_miter", obs.Fields{
-				"backend": "bdd", "index": j, "output": req.Tasks[j].Label,
-			})
-		}
-		var res TaskResult
-		var size int
-		if pairTask[j] {
-			fa, fb := refs[targetAt[j]], refs[targetAt[j]+1]
-			res = TaskResult{Count: mgr.CountDifferent(fa, fb)}
-			size = mgr.Size(fa) + mgr.Size(fb)
+	for i, j := range todo {
+		f := refs[targetAt[i]]
+		if pairTask[i] {
+			emit.Emit(j, TaskResult{Count: mgr.CountDifferent(f, refs[targetAt[i]+1])})
 		} else {
-			f := refs[targetAt[j]]
-			res = TaskResult{Count: mgr.CountOnes(f)}
-			size = mgr.Size(f)
-		}
-		results[j] = res
-		if tr != nil {
-			tr.EndSpan(span, "sub_miter", obs.Fields{
-				"index": j, "output": req.Tasks[j].Label, "bdd_size": size,
-				"count": res.Count.String(), "stats": res.Stats,
-			})
-		}
-		if req.Progress != nil {
-			req.Progress(TaskEvent{
-				Backend: "bdd",
-				Index:   j, Label: req.Tasks[j].Label,
-				Count: res.Count,
-				Done:  j + 1, Total: len(req.Tasks),
-				Runtime: time.Since(start),
-			})
+			emit.Emit(j, TaskResult{Count: mgr.CountOnes(f)})
 		}
 	}
-	return results, nil
+	return nil
 }

@@ -1,17 +1,20 @@
 // Package engine is the pluggable-backend seam of the verification
-// stack. A Backend executes a verification session: a list of prepared
+// stack. Execute runs a verification session: a list of prepared
 // single-output counting tasks (built and deduplicated by the plan
 // layer, internal/plan) plus the combined session miter the tasks were
-// cut from. The built-in backends wrap the repository's existing flows
-// (the simulation-enhanced counter, the plain DPLL counter, exhaustive
-// enumeration, the prior-art ROBDD flow, and (ε, δ) approximate
-// counting by XOR streamlining) behind one interface, registered by
-// name in a small registry.
+// cut from.
 //
-// internal/core resolves its Options.Method through this registry
-// instead of a hard-coded switch, so new engines (sharded counting,
-// distributed backends, new metric solvers) plug in without touching
-// the metric-level orchestration.
+// Execute is the only owner of a task's lifecycle. It resolves the
+// trivial tasks (constant or bare-input outputs) and the tasks the
+// cross-request store already holds, hands the rest to a Backend,
+// records the backend's counts in the store, and turns every finished
+// task into its "sub_miter" span, its task_start/task_done hub lines,
+// its engine.sub_miter* metrics and its progress event. Backends only
+// count. The built-in backends wrap the repository's flows (the
+// simulation-enhanced counter, the plain DPLL counter, exhaustive
+// enumeration, the prior-art ROBDD flow, and (ε, δ) approximate
+// counting by XOR streamlining), registered by name in a small
+// registry that internal/core resolves its Options.Method through.
 //
 // All backends accept a context.Context and propagate it into their hot
 // loops (the counter's decision loop, the simulator's block loop, the
@@ -61,10 +64,11 @@ type Config struct {
 	SharedCache bool
 	// Store, when non-nil, is a cross-request result store shared across
 	// sessions (and typically across the whole process — vacsem-serve
-	// injects one). Counting backends consult its cone tier by each
-	// task's canonical key before dispatching a solver, record every
-	// non-trivial solve back with provenance, and use its component tier
-	// as the session's shared component cache (superseding SharedCache).
+	// injects one). Execute consults its cone tier by each task's
+	// canonical key before handing the task to any backend and records
+	// every count a backend computes back with provenance; the counting
+	// backends also use its component tier as the session's shared
+	// component cache (superseding SharedCache).
 	// Cone keys are exact content addresses and counts are
 	// function-determined, so a store hit returns precisely the count
 	// the solver would have computed — exact results are bit-identical
@@ -82,9 +86,10 @@ type Config struct {
 	// BDDReorder enables dynamic variable reordering (window sifting)
 	// during the bdd backend's diagram builds.
 	BDDReorder bool
-	// Workers bounds the number of tasks solved concurrently by backends
-	// that fan out (the counting backends). 0 means
-	// runtime.GOMAXPROCS(0); 1 forces sequential solving.
+	// Workers bounds the number of tasks the runner's pool solves
+	// concurrently for the backends that count task by task (vacsem,
+	// dpll, approx). 0 means runtime.GOMAXPROCS(0); 1 forces sequential
+	// solving.
 	Workers int
 	// SimWorkers bounds the goroutines the enum backend's compiled
 	// simulation kernel spreads the pattern-block range across. 0 means
@@ -114,9 +119,10 @@ type Config struct {
 type CountTask struct {
 	// Sub is the task's single-output sub-miter: the logic cone of the
 	// session miter's matching output, already synthesized by the plan
-	// layer (unless the session ran with NoSynth). Counting backends
-	// solve it directly; enumeration and BDD backends work on the
-	// session miter instead.
+	// layer (unless the session ran with NoSynth). Execute recognizes
+	// trivial tasks on it and counting backends solve it directly;
+	// enumeration and BDD backends work on the session miter instead.
+	// A task without one is always left to the backend.
 	Sub *circuit.Circuit
 	// Label names the task in spans and progress events; by convention
 	// "<metric>/<output>" of the first metric output that produced it.
@@ -125,7 +131,7 @@ type CountTask struct {
 	// synthesized cone): a content address equal across sessions exactly
 	// when the cones are isomorphic over the same shared-input
 	// positions. Empty when the request was built without the plan layer;
-	// store-aware backends then skip the cone tier for this task.
+	// Execute then skips the cone tier for this task.
 	Key string
 	// KeyInputs is the number of shared inputs the cone actually
 	// reaches (pinned by Key). Counts stored under Key live in this
@@ -166,7 +172,11 @@ type Request struct {
 // nil-check; it is the number of input patterns (over the full 2^I
 // space of the session miter) setting the task's bit.
 type TaskResult struct {
-	Count   *big.Int
+	Count *big.Int
+	// Runtime is set by Execute: the wall time from the task's start to
+	// its result. A task counted on the runner's pool starts when a
+	// worker picks it up; a task of a backend that counts the whole batch
+	// at once (enum, bdd) starts with the batch.
 	Runtime time.Duration
 	Stats   counter.Stats
 	Trivial bool // solved by constant propagation alone
@@ -196,38 +206,40 @@ type TaskResult struct {
 	HashDensity                 float64
 }
 
-// TaskEvent reports the completion of one task.
+// TaskEvent reports the completion of one task: its result plus where it
+// stands in the session.
 type TaskEvent struct {
+	TaskResult
 	Backend string
 	// Index is the task's index in Request.Tasks; Label its name.
 	Index int
 	Label string
-	Count *big.Int
 	// Done counts completed tasks so far (including this one); Total is
 	// the number of tasks of the session.
 	Done, Total int
-	Runtime     time.Duration
-	Stats       counter.Stats
-	Trivial     bool
-	// Approx marks an (ε, δ)-estimated count (see TaskResult.Approx).
-	Approx bool
-	// FromStore marks a count served by the cross-request cone store
-	// (see TaskResult.FromStore).
-	FromStore bool
 }
 
 // TaskProgressFunc observes per-task completion events.
 type TaskProgressFunc func(TaskEvent)
 
-// Backend executes verification sessions. Implementations must be safe
-// for concurrent use by multiple goroutines (they are registered once
-// and shared) and must honour ctx cancellation in their long-running
-// loops.
+// Backend counts the tasks of a session that Execute could not resolve
+// by itself. Implementations must be safe for concurrent use by multiple
+// goroutines (they are registered once and shared) and must honour ctx
+// cancellation in their long-running loops.
 type Backend interface {
 	// Name is the registry key ("vacsem", "dpll", "enum", "bdd", ...).
 	Name() string
-	// Execute computes every task's count, indexed like Request.Tasks.
-	// On error the partial results are discarded; ctx errors are
-	// returned verbatim.
-	Execute(ctx context.Context, req *Request) ([]TaskResult, error)
+	// Count computes the tasks listed in todo — indexes into req.Tasks,
+	// ascending, none of them trivial or served by the store, at least
+	// one — and reports each result to emit exactly once before it
+	// returns (the built-in counting backends through the runner's
+	// pool). ctx errors are returned verbatim.
+	Count(ctx context.Context, req *Request, todo []int, emit *Emitter) error
+}
+
+// A Backend that cannot take every session implements validator.
+// Execute asks it before triage, so whether a session is rejected never
+// depends on what the store holds.
+type validator interface {
+	Validate(req *Request) error
 }

@@ -2,6 +2,9 @@ package engine_test
 
 import (
 	"context"
+	"encoding/json"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,11 +13,12 @@ import (
 	"vacsem/internal/als"
 	"vacsem/internal/engine"
 	"vacsem/internal/gen"
+	"vacsem/internal/obs"
 	"vacsem/internal/plan"
 )
 
 func TestRegistryBuiltins(t *testing.T) {
-	want := []string{"bdd", "dpll", "enum", "vacsem"}
+	want := []string{"approx", "bdd", "dpll", "enum", "vacsem"}
 	got := engine.Names()
 	if len(got) < len(want) {
 		t.Fatalf("Names() = %v, want at least %v", got, want)
@@ -61,7 +65,7 @@ func TestBackendsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := b.Execute(context.Background(), req)
+		results, err := engine.Execute(context.Background(), b, req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -88,12 +92,12 @@ func TestWorkersDeterministic(t *testing.T) {
 	}
 	_, req := medRequest(t, 12)
 	req.Config.Workers = 1
-	seq, err := b.Execute(context.Background(), req)
+	seq, err := engine.Execute(context.Background(), b, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Config.Workers = 4
-	par, err := b.Execute(context.Background(), req)
+	par, err := engine.Execute(context.Background(), b, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +128,7 @@ func TestProgressEvents(t *testing.T) {
 		events = append(events, ev)
 		mu.Unlock()
 	}
-	results, err := b.Execute(context.Background(), req)
+	results, err := engine.Execute(context.Background(), b, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,50 +157,108 @@ func TestProgressEvents(t *testing.T) {
 	}
 }
 
-// TestProgressSerialized pins the documented callback contract under
-// Workers > 1: calls never overlap, and every event carries the task's
-// own runtime and counter statistics (matching what the results later
-// report for that index).
+// TestProgressSerialized pins the documented callback contract on every
+// backend under Workers > 1: calls never overlap, and every event
+// carries the task's own runtime and counter statistics (matching what
+// the results later report for that index).
 func TestProgressSerialized(t *testing.T) {
-	b, err := engine.Lookup("vacsem")
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, req := medRequest(t, 8)
 	req.Config.Workers = 4
-	var (
-		inside     atomic.Int32
-		overlapped atomic.Bool
-		events     = make(map[int]engine.TaskEvent) // unguarded on purpose: -race flags overlap too
-	)
-	req.Progress = func(ev engine.TaskEvent) {
-		if inside.Add(1) != 1 {
-			overlapped.Store(true)
+	for _, name := range engine.Names() {
+		t.Run(name, func(t *testing.T) {
+			b, err := engine.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				inside     atomic.Int32
+				overlapped atomic.Bool
+				events     = make(map[int]engine.TaskEvent) // unguarded on purpose: -race flags overlap too
+			)
+			req.Progress = func(ev engine.TaskEvent) {
+				if inside.Add(1) != 1 {
+					overlapped.Store(true)
+				}
+				time.Sleep(100 * time.Microsecond) // widen any race window
+				events[ev.Index] = ev
+				inside.Add(-1)
+			}
+			results, err := engine.Execute(context.Background(), b, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if overlapped.Load() {
+				t.Fatal("progress callback entered concurrently; contract says calls are serialized")
+			}
+			if len(events) != len(results) {
+				t.Fatalf("%d progress events for %d tasks", len(events), len(results))
+			}
+			for idx, ev := range events {
+				res := results[idx]
+				if ev.Stats != res.Stats {
+					t.Errorf("index %d: event stats %+v, result stats %+v", idx, ev.Stats, res.Stats)
+				}
+				if ev.Runtime != res.Runtime {
+					t.Errorf("index %d: event runtime %v, result runtime %v", idx, ev.Runtime, res.Runtime)
+				}
+				if !ev.Trivial && ev.Runtime <= 0 {
+					t.Errorf("index %d: non-trivial task reported runtime %v", idx, ev.Runtime)
+				}
+			}
+		})
+	}
+}
+
+// TestTaskEventsUniform: every registered backend publishes exactly one
+// task_start and one task_done hub line per task, and each event kind
+// carries the same keys on every backend.
+func TestTaskEventsUniform(t *testing.T) {
+	_, req := medRequest(t, 6)
+	keySets := make(map[string]string) // event kind -> keys, from the first backend
+	for _, name := range engine.Names() {
+		b, err := engine.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(100 * time.Microsecond) // widen any race window
-		events[ev.Index] = ev
-		inside.Add(-1)
-	}
-	results, err := b.Execute(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if overlapped.Load() {
-		t.Fatal("progress callback entered concurrently; contract says calls are serialized")
-	}
-	if len(events) != len(results) {
-		t.Fatalf("%d progress events for %d tasks", len(events), len(results))
-	}
-	for idx, ev := range events {
-		res := results[idx]
-		if ev.Stats != res.Stats {
-			t.Errorf("index %d: event stats %+v, result stats %+v", idx, ev.Stats, res.Stats)
+		ch, unsubscribe := obs.Stream.Subscribe(1024)
+		_, err = engine.Execute(context.Background(), b, req)
+		unsubscribe()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if ev.Runtime != res.Runtime {
-			t.Errorf("index %d: event runtime %v, result runtime %v", idx, ev.Runtime, res.Runtime)
+		seen := map[string]map[int]int{"task_start": {}, "task_done": {}}
+		for line := range ch {
+			var ev map[string]any
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatal(err)
+			}
+			kind, _ := ev["ev"].(string)
+			perTask, ok := seen[kind]
+			if !ok {
+				continue
+			}
+			if ev["backend"] != name {
+				t.Errorf("%s: %s event names backend %v", name, kind, ev["backend"])
+			}
+			perTask[int(ev["index"].(float64))]++
+			keys := make([]string, 0, len(ev))
+			for k := range ev {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			got := strings.Join(keys, ",")
+			if want, ok := keySets[kind]; !ok {
+				keySets[kind] = got
+			} else if got != want {
+				t.Errorf("%s: %s keys %s, want %s", name, kind, got, want)
+			}
 		}
-		if !ev.Trivial && ev.Runtime <= 0 {
-			t.Errorf("index %d: non-trivial task reported runtime %v", idx, ev.Runtime)
+		for kind, perTask := range seen {
+			for j := range req.Tasks {
+				if perTask[j] != 1 {
+					t.Errorf("%s: task %d published %d %s events, want 1", name, j, perTask[j], kind)
+				}
+			}
 		}
 	}
 }
@@ -220,7 +282,7 @@ func TestTaskResultCountNonNil(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := b.Execute(context.Background(), req)
+		results, err := engine.Execute(context.Background(), b, req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -239,12 +301,12 @@ func TestCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, req := medRequest(t, 10)
-	for _, name := range []string{"vacsem", "enum", "bdd"} {
+	for _, name := range []string{"vacsem", "dpll", "approx", "enum", "bdd"} {
 		b, err := engine.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.Execute(ctx, req); err != context.Canceled {
+		if _, err := engine.Execute(ctx, b, req); err != context.Canceled {
 			t.Errorf("%s with cancelled ctx: err = %v, want context.Canceled", name, err)
 		}
 	}
@@ -269,14 +331,14 @@ func TestCompletedResultsSurviveLateDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := b.Execute(lateDeadlineCtx{context.Background()}, req)
+	results, err := engine.Execute(lateDeadlineCtx{context.Background()}, b, req)
 	if err != nil {
 		t.Fatalf("Execute discarded completed results on a late deadline: %v", err)
 	}
 	if len(results) != len(req.Tasks) {
 		t.Fatalf("%d results for %d tasks", len(results), len(req.Tasks))
 	}
-	want, err := b.Execute(context.Background(), req)
+	want, err := engine.Execute(context.Background(), b, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,9 +351,9 @@ func TestCompletedResultsSurviveLateDeadline(t *testing.T) {
 }
 
 // TestTaskPanicReachesCaller: a task that panics on a pool goroutine
-// (here: a task without a sub-miter) is re-raised on Execute's own
-// goroutine, where the caller can recover it, instead of killing the
-// process.
+// (here: a task without a sub-miter, which the runner leaves to the
+// backend) is re-raised on Execute's own goroutine, where the caller can
+// recover it, instead of killing the process.
 func TestTaskPanicReachesCaller(t *testing.T) {
 	_, req := medRequest(t, 4)
 	req.Tasks = append(req.Tasks[:0:0], req.Tasks...)
@@ -306,5 +368,5 @@ func TestTaskPanicReachesCaller(t *testing.T) {
 			t.Error("Execute returned normally; want the task panic re-raised")
 		}
 	}()
-	b.Execute(context.Background(), req)
+	engine.Execute(context.Background(), b, req)
 }

@@ -3,73 +3,54 @@ package engine
 import (
 	"context"
 	"math/big"
-	"time"
 
-	"vacsem/internal/obs"
+	"vacsem/internal/circuit"
 	"vacsem/internal/sim"
 )
 
 // enumBackend verifies by exhaustive word-parallel logic simulation of
 // the session miter over all 2^I input patterns — the paper's
-// enumeration baseline. The miter is compiled once to an instruction
-// tape and the pattern-block range split across Config.SimWorkers
-// goroutines (<= 0: GOMAXPROCS); one pass produces every task's
-// one-count, so a multi-metric session costs a single sweep of the
-// shared structure instead of one sweep per metric. Cancellation
-// happens inside the kernel's block loop, polled per work chunk sized
-// by tape length.
+// enumeration baseline. The miter, restricted to the outputs of the
+// tasks left to the backend, is compiled once to an instruction tape
+// and the pattern-block range split across Config.SimWorkers goroutines
+// (<= 0: GOMAXPROCS); one pass produces every task's one-count, so a
+// multi-metric session costs a single sweep of the shared structure
+// instead of one sweep per metric. Cancellation happens inside the
+// kernel's block loop, polled per work chunk sized by tape length.
 type enumBackend struct{}
 
 func (enumBackend) Name() string { return "enum" }
 
-func (enumBackend) Execute(ctx context.Context, req *Request) ([]TaskResult, error) {
-	m := req.Miter
-	if m.NumInputs() > 62 {
-		return nil, ErrTooLarge
+// Validate rejects sessions over more than 62 inputs, whatever the
+// store could serve.
+func (enumBackend) Validate(req *Request) error {
+	if req.Miter.NumInputs() > 62 {
+		return ErrTooLarge
 	}
-	// One simulation pass covers every task, so the enumeration work
-	// lives on the backend span; the per-task sub_miter spans below
-	// only mark the (instant) result extraction, keeping the stream
-	// schema uniform across backends.
-	tr := obs.Active()
-	var beSpan obs.SpanID
-	if tr != nil {
-		beSpan = tr.StartSpan(obs.SpanFrom(ctx), "backend", obs.Fields{
-			"backend": "enum", "session": req.Session,
-			"tasks": len(req.Tasks), "inputs": m.NumInputs(),
-			"sim_workers": req.Config.SimWorkers,
-		})
-		ctx = obs.WithSpan(ctx, beSpan)
-		defer tr.EndSpan(beSpan, "backend", nil)
-	}
-	start := time.Now()
-	counts, err := sim.CountOnesPerOutputWorkers(ctx, m, req.Config.SimWorkers)
+	return nil
+}
+
+func (enumBackend) Count(ctx context.Context, req *Request, todo []int, emit *Emitter) error {
+	counts, err := sim.CountOnesPerOutputWorkers(ctx, outputsOf(req.Miter, todo), req.Config.SimWorkers)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	elapsed := time.Since(start)
-	results := make([]TaskResult, len(req.Tasks))
-	for j := range req.Tasks {
-		res := TaskResult{Count: new(big.Int).SetUint64(counts[j])}
-		results[j] = res
-		if tr != nil {
-			span := tr.StartSpan(beSpan, "sub_miter", obs.Fields{
-				"backend": "enum", "index": j, "output": req.Tasks[j].Label,
-			})
-			tr.EndSpan(span, "sub_miter", obs.Fields{
-				"index": j, "output": req.Tasks[j].Label,
-				"count": res.Count.String(), "stats": res.Stats,
-			})
-		}
-		if req.Progress != nil {
-			req.Progress(TaskEvent{
-				Backend: "enum",
-				Index:   j, Label: req.Tasks[j].Label,
-				Count: res.Count,
-				Done:  j + 1, Total: len(req.Tasks),
-				Runtime: elapsed,
-			})
-		}
+	for i, j := range todo {
+		emit.Emit(j, TaskResult{Count: new(big.Int).SetUint64(counts[i])})
 	}
-	return results, nil
+	return nil
+}
+
+// outputsOf returns m restricted to the outputs listed in todo, in that
+// order: m itself when todo lists every output, otherwise a clone.
+func outputsOf(m *circuit.Circuit, todo []int) *circuit.Circuit {
+	if len(todo) == m.NumOutputs() {
+		return m
+	}
+	c := m.Clone()
+	c.ClearOutputs()
+	for _, j := range todo {
+		c.AddOutput(m.Outputs[j], m.OutputName(j))
+	}
+	return c
 }

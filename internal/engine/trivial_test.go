@@ -29,11 +29,11 @@ func trivialRequest(t *testing.T, sub *circuit.Circuit, totalInputs int) *engine
 	}
 }
 
-// TestTrivialFastPaths pins the counting backends' constant-time
-// recognitions: a cone whose output is const0, const1 (via NOT of
+// TestTrivialFastPaths pins the runner's constant-time recognitions on
+// every backend: a cone whose output is const0, const1 (via NOT of
 // const0), a bare input, or the negation of an input never reaches the
-// CNF encoder, and the count scales by the session inputs the cone does
-// not touch.
+// backend, and the count scales by the session inputs the cone does not
+// touch.
 func TestTrivialFastPaths(t *testing.T) {
 	const totalInputs = 6
 	pow := func(k int) *big.Int { return new(big.Int).Lsh(big.NewInt(1), uint(k)) }
@@ -88,7 +88,7 @@ func TestTrivialFastPaths(t *testing.T) {
 			want: pow(totalInputs - 1),
 		},
 	}
-	for _, backend := range []string{"vacsem", "dpll"} {
+	for _, backend := range engine.Names() {
 		b, err := engine.Lookup(backend)
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func TestTrivialFastPaths(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(backend+"/"+tc.name, func(t *testing.T) {
 				req := trivialRequest(t, tc.build(), totalInputs)
-				results, err := b.Execute(context.Background(), req)
+				results, err := engine.Execute(context.Background(), b, req)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,12 +15,14 @@
 //	{"ev":"span_end",  "span":KIND,"id":N,"t_us":T,"dur_us":D, ...fields}
 //	{"ev":EVENT,"parent":N,"t_us":T, ...fields}
 //
-// Span kinds used by the stack: "run" (one verification, internal/core),
-// "backend" (one engine.Backend.Solve), "sub_miter" (one per-output-bit
-// #SAT problem). Point events: "component", "cache", "stats" (periodic
-// counter.Stats snapshot delta), "sim_decision" (the dynamic
-// controller's accept/reject with the density score), "sim_batch"
-// (exhaustive enumeration), "bdd_growth" (node-count doublings).
+// Span kinds used by the stack: "session" (one verification session,
+// internal/core), "plan" (compiling it, internal/plan), "backend" (one
+// engine.Execute), "sub_miter" (one counting task, whichever path
+// resolved it), "run" (one metric's assembled value). Point events:
+// "component", "cache", "stats" (periodic counter.Stats snapshot
+// delta), "sim_decision" (the dynamic controller's accept/reject with
+// the density score), "sim_batch" (exhaustive enumeration),
+// "bdd_growth" (node-count doublings).
 package obs
 
 import (

@@ -497,16 +497,17 @@ type ProgressEvent struct {
 // ProgressFunc observes per-bit completion events.
 type ProgressFunc func(ProgressEvent)
 
-// SubResult reports one metric output bit. Count is always non-nil.
+// SubResult reports one metric output bit: the result of the task that
+// produced it (Count, a copy, is always non-nil) plus the bit's place in
+// its metric. Every bit carries its task's flags — a shared bit's count
+// is approximate, trivial or served from the store no matter which bit
+// reports it.
 type SubResult struct {
+	engine.TaskResult
 	Output      string
-	Count       *big.Int // patterns (over all 2^I inputs) setting the bit
 	Weight      *big.Int
 	NodesBefore int
 	NodesAfter  int // after synthesis
-	Runtime     time.Duration
-	Stats       counter.Stats
-	Trivial     bool // solved by constant propagation alone
 	// Shared marks a bit whose count was produced by a task owned by
 	// another bit of the session (possibly of a different metric); its
 	// Runtime and Stats are zero — the owner reports them — so summing
@@ -514,26 +515,6 @@ type SubResult struct {
 	Shared bool
 	// Task is the session task index that produced Count.
 	Task int
-	// Approx marks a Count estimated by XOR streamlining rather than
-	// counted exactly; Epsilon and Delta are then the estimate's
-	// tolerance and failure probability (Count is within a (1+Epsilon)
-	// factor of the exact count with probability 1-Delta). Shared bits
-	// carry the same flags as their owning task — the count itself is
-	// approximate no matter which bit reports it.
-	Approx         bool
-	Epsilon, Delta float64
-	// BestEffort marks an approx count whose round schedule was cut
-	// short by the deadline (Delta is the widened failure probability).
-	BestEffort bool
-	// FromStore marks a count served by the cross-request cone store
-	// (engine.TaskResult.FromStore): no solver ran for it in this
-	// session. Shared bits inherit the flag from their owning task.
-	FromStore bool
-	// SupportBefore and SupportAfter are the approx sampling-set sizes
-	// around independent-support minimization; HashDensity is the mean
-	// density of the hash rows drawn. Zero for exact backends.
-	SupportBefore, SupportAfter int
-	HashDensity                 float64
 }
 
 // MetricOutcome is one metric's assembled result.
@@ -554,9 +535,9 @@ type Outcome struct {
 	TaskResults []engine.TaskResult
 }
 
-// Run executes the plan on a backend. Progress events are derived from
-// the backend's per-task events: each task completion fans out to every
-// metric bit it satisfies, in session order. Backends serialize their
+// Run executes the plan on a backend through engine.Execute. Each task
+// event of the runner fans out to a progress event for every metric bit
+// the task satisfies, in session order. The runner serializes its
 // progress callbacks, so the adapter's counters need no locking.
 func (p *Plan) Run(ctx context.Context, be engine.Backend, cfg engine.Config, progress ProgressFunc) (*Outcome, error) {
 	req := &engine.Request{
@@ -607,7 +588,7 @@ func (p *Plan) Run(ctx context.Context, be engine.Backend, cfg engine.Config, pr
 			}
 		}
 	}
-	results, err := be.Execute(ctx, req)
+	results, err := engine.Execute(ctx, be, req)
 	if err != nil {
 		return nil, err
 	}
@@ -626,27 +607,19 @@ func (p *Plan) Run(ctx context.Context, be engine.Backend, cfg engine.Config, pr
 		for k, ti := range m.TaskOf {
 			res := &results[ti]
 			sub := SubResult{
-				Output:        m.Outputs[k],
-				Count:         new(big.Int).Set(res.Count),
-				Weight:        new(big.Int).Set(m.Weights[k]),
-				NodesBefore:   p.Tasks[ti].NodesBefore,
-				NodesAfter:    p.Tasks[ti].NodesAfter,
-				Trivial:       res.Trivial,
-				Shared:        !m.Owner[k],
-				Task:          ti,
-				Approx:        res.Approx,
-				Epsilon:       res.Epsilon,
-				Delta:         res.Delta,
-				BestEffort:    res.BestEffort,
-				FromStore:     res.FromStore,
-				SupportBefore: res.SupportBefore,
-				SupportAfter:  res.SupportAfter,
-				HashDensity:   res.HashDensity,
+				TaskResult:  *res,
+				Output:      m.Outputs[k],
+				Weight:      new(big.Int).Set(m.Weights[k]),
+				NodesBefore: p.Tasks[ti].NodesBefore,
+				NodesAfter:  p.Tasks[ti].NodesAfter,
+				Shared:      !m.Owner[k],
+				Task:        ti,
 			}
+			sub.Count = new(big.Int).Set(res.Count)
 			if m.Owner[k] {
-				sub.Runtime = res.Runtime
-				sub.Stats = res.Stats
 				mo.Stats.Add(res.Stats)
+			} else {
+				sub.Runtime, sub.Stats = 0, counter.Stats{}
 			}
 			mo.Subs[k] = sub
 			weighted.Mul(res.Count, m.Weights[k])

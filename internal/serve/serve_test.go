@@ -419,11 +419,11 @@ func TestServeStoreEndpointAndMetrics(t *testing.T) {
 	}
 }
 
-// panicBackend panics in Execute, standing in for a library bug.
+// panicBackend panics in Count, standing in for a library bug.
 type panicBackend struct{}
 
 func (panicBackend) Name() string { return core.Method(99).String() }
-func (panicBackend) Execute(context.Context, *engine.Request) ([]engine.TaskResult, error) {
+func (panicBackend) Count(context.Context, *engine.Request, []int, *engine.Emitter) error {
 	panic("backend bug")
 }
 

@@ -848,15 +848,29 @@ func (p *Program) countBlocks(ctx context.Context, workers int, blocks, total ui
 	if workers == 1 {
 		run(0)
 	} else {
-		var wg sync.WaitGroup
+		// A panic left on a worker goroutine would kill the process; catch
+		// it and re-raise the first one here, on the caller's goroutine.
+		var (
+			wg        sync.WaitGroup
+			panicked  any
+			panicOnce sync.Once
+		)
 		wg.Add(workers)
 		for i := 0; i < workers; i++ {
 			go func(w int) {
 				defer wg.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						panicOnce.Do(func() { panicked = r })
+					}
+				}()
 				run(w)
 			}(i)
 		}
 		wg.Wait()
+		if panicked != nil {
+			panic(panicked)
+		}
 	}
 	if firstErr != nil {
 		return nil, firstErr

@@ -88,6 +88,21 @@ func TestParallelCountsMatchBrute(t *testing.T) {
 	}
 }
 
+// TestKernelPanicReachesCaller: a kernel panic on a parallel worker
+// goroutine (here: a tape operand corrupted to index past the value
+// array) is re-raised on CountOnes' own goroutine, where the caller can
+// recover it, instead of killing the process.
+func TestKernelPanicReachesCaller(t *testing.T) {
+	p := CompileOutputs(testutil.RandomCircuit(14, 60, 3, 7))
+	p.ins[0].a = 1 << 30
+	defer func() {
+		if recover() == nil {
+			t.Error("CountOnes returned normally; want the worker panic re-raised")
+		}
+	}()
+	p.CountOnes(context.Background(), 2)
+}
+
 // TestCompileComponentCounts checks the component program's consistency
 // accumulator against brute-force enumeration: free inputs enumerate,
 // pinned inputs hold constants, and checking gates constrain the

@@ -21,13 +21,16 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
+echo "==> benchmark module (vet + tests; it builds against the internal API)"
+(cd benchmark && go vet ./... && go test ./...)
+
 echo "==> go test -race -short (cache/engine concurrency fast path)"
 # Focused first pass over the packages that share the component cache
-# across goroutines — plus the observability hub/recorder/server, whose
-# whole point is concurrent access: fails fast on a race before the
-# full suite.
+# and the cross-request store across goroutines — plus the
+# observability hub/recorder/server, whose whole point is concurrent
+# access: fails fast on a race before the full suite.
 go test -race -short ./internal/counter ./internal/engine ./internal/plan ./internal/core \
-	./internal/obs ./internal/obs/expo
+	./internal/store ./internal/serve ./internal/obs ./internal/obs/expo
 
 echo "==> go test -race"
 # 20m headroom over the 10m default: race instrumentation slows the
