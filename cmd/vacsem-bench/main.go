@@ -5,6 +5,9 @@
 //	Table V   — MED of approximate adders & multipliers, three methods
 //	Table VI  — ER of EPFL & BACS circuits, VACSEM vs the DPLL baseline
 //
+// -table dd reproduces the paper's footnote 2: decision diagrams blow
+// up on multipliers far below the sizes VACSEM handles.
+//
 // -table multi additionally benchmarks the multi-metric session mode:
 // {ER, MED, MHD} of each pair verified in one shared-base, deduplicated
 // run, against the sum of the three standalone runs.
@@ -13,15 +16,10 @@
 // exact VACSEM on the adder/multiplier suite: estimates are checked
 // against the exact values' (1+ε) band and both runs land in the JSON
 // report (records carry epsilon/delta, so approximate and exact values
-// stay distinguishable). -epsilon, -delta and -count-seed tune it;
-// -backend restricts any table's method list to one backend.
-//
-// -table serve benchmarks the verification service's cross-request
-// store end to end: a real vacsem-serve instance is started on an
-// ephemeral port, each benchmark's {ER, MED} job is submitted cold and
-// then warm over HTTP, the server is restarted from its shutdown
-// snapshot, and the job runs once more — warm runs must return
-// bit-identical values while solving nothing.
+// stay distinguishable). Scale rows follow at adder and multiplier
+// sizes the exact reference cannot reach. -epsilon, -delta and
+// -count-seed tune it; -backend restricts any table's method list to
+// one backend.
 //
 // The default suite is scaled down so a complete run finishes in minutes
 // (the counter is pure Go); -full restores the paper's circuit sizes.
@@ -32,22 +30,17 @@
 // the geomean tables aggregate away — plus the end-of-run metric
 // totals. The default path is BENCH_<timestamp>.json in the current
 // directory, next to the table output; -report FILE overrides it and
-// -report none disables it.
-//
-// By default every verification run is flight-recorded: a background
-// sampler snapshots the solver counters every -flight-interval, and the
-// resulting per-run time-series land in the JSON report's records
-// (timeseries field). -introspect ADDR additionally serves the live
+// -report none disables it. -introspect ADDR serves the live
 // introspection endpoints (/metrics, /debug/vacsem/progress,
 // /debug/vacsem/runs, /debug/pprof) while the suite runs.
 //
-// -diff OLD.json NEW.json switches to the regression gate: the two
-// reports are compared run-by-run (matched by bench, metric, method and
-// version) with tolerance bands (-diff-tol for wall time,
-// -diff-min-seconds for the noise floor), a delta table is printed, and
-// the exit status is non-zero when any run regressed — exact counts
-// changing, completed runs now timing out or vanishing, wall time or
-// kernel throughput outside its band.
+// -diff OLD.json NEW.json switches to the count gate: the two reports
+// are compared run-by-run (matched by bench, metric, method and
+// version), a table of both wall times and their ratio is printed, and
+// the exit status is 1 when an exact count or approx flag changed, a
+// completed run now times out, errors or is infeasible, or a run is
+// missing from NEW. Wall time is never gated here; the benchmark/
+// module owns performance.
 //
 // Usage:
 //
@@ -63,7 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"vacsem/internal/bench"
@@ -76,8 +68,10 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
-	table := flag.String("table", "all", "table to regenerate: 3, 4, 5, 6, dd, multi, approx, serve or all")
+// run carries the whole CLI so that observability teardown happens on
+// every exit path; a teardown error turns a zero exit code into 1.
+func run() (exitCode int) {
+	table := flag.String("table", "all", "table to regenerate: 3, 4, 5, 6, dd, multi, approx or all")
 	backendName := flag.String("backend", "", "restrict table runs to one backend (vacsem, dpll, enum, bdd, approx)")
 	epsilon := flag.Float64("epsilon", 0, "approx backend: multiplicative tolerance ε (0 = default 0.8)")
 	delta := flag.Float64("delta", 0, "approx backend: failure probability δ (0 = default 0.2)")
@@ -94,16 +88,13 @@ func run() int {
 	metricsFmt := flag.String("obs-metrics", "", "print end-of-run metrics to stderr: table or json")
 	pprofAddr := flag.String("pprof", "", "serve live net/http/pprof on this address (e.g. localhost:6060)")
 	introspect := flag.String("introspect", "", "serve the live introspection server on this address: /metrics, /debug/vacsem/progress, /debug/vacsem/runs, /debug/pprof (may equal -pprof to share one listener)")
-	flightIvl := flag.Duration("flight-interval", obs.DefaultFlightInterval, "flight-recorder sampling interval (runs' time-series land in the JSON report; negative = off)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	diffMode := flag.Bool("diff", false, "compare two bench reports (args: OLD.json NEW.json); exit non-zero on regression")
-	diffTol := flag.Float64("diff-tol", 0, "-diff: allowed wall-time ratio new/old (0 = default 1.25)")
-	diffMinSeconds := flag.Float64("diff-min-seconds", 0, "-diff: noise floor below which runs are not time-compared (0 = default 0.05)")
+	diffMode := flag.Bool("diff", false, "compare two bench reports (args: OLD.json NEW.json); exit 1 on a changed count or a lost run")
 	flag.Parse()
 
 	if *diffMode {
-		return runDiff(flag.Args(), *diffTol, *diffMinSeconds)
+		return runDiff(flag.Args())
 	}
 
 	stop, err := expo.Setup(expo.CLIConfig{
@@ -112,24 +103,27 @@ func run() int {
 		MemProfile:     *memProfile,
 		PprofAddr:      *pprofAddr,
 		IntrospectAddr: *introspect,
-		FlightInterval: *flightIvl,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vacsem-bench:", err)
 		return 1
 	}
-	exitCode := 0
 	defer func() {
 		if err := stop(); err != nil {
 			fmt.Fprintln(os.Stderr, "vacsem-bench:", err)
+			if exitCode == 0 {
+				exitCode = 1
+			}
 		}
 	}()
 
 	cfg := bench.Config{
-		Full: *full, Versions: *versions, TimeLimit: *timeLimit,
-		Workers: *workers, SimWorkers: *simWorkers, NoSharedCache: !*sharedCache,
-		BDDReorder: *bddReorder,
-		Epsilon:    *epsilon, Delta: *delta, Seed: *countSeed,
+		Options: core.Options{
+			TimeLimit: *timeLimit, Workers: *workers, SimWorkers: *simWorkers,
+			BDDReorder: *bddReorder, DisableSharedCache: !*sharedCache,
+			Epsilon: *epsilon, Delta: *delta, Seed: *countSeed,
+		},
+		Full: *full, Versions: *versions,
 	}
 	if *backendName != "" {
 		m, err := core.MethodByName(*backendName)
@@ -142,7 +136,6 @@ func run() int {
 	rep := bench.NewReport(cfg, *table, time.Now())
 	cfg.OnRun = rep.Add
 	cfg.OnSession = rep.AddSession
-	cfg.OnServe = rep.AddServe
 
 	want := func(t string) bool { return *table == "all" || *table == t }
 	ran := false
@@ -178,13 +171,6 @@ func run() int {
 		bench.WriteMultiTable(os.Stdout, rows, cfg)
 		fmt.Println()
 	}
-	if *table == "serve" { // not part of -table all: it reruns the suite three times
-		ran = true
-		specs := bench.ServeSpecs(cfg)
-		recs := bench.RunServeTable(specs, cfg)
-		bench.WriteServeTable(os.Stdout, recs, cfg)
-		fmt.Println()
-	}
 	if *table == "approx" { // not part of -table all: it reruns the suite twice
 		ran = true
 		specs := bench.AdderMultSpecs(cfg)
@@ -204,14 +190,14 @@ func run() int {
 		cfg6.Methods = []core.Method{core.MethodVACSEM, core.MethodDPLL}
 		specs := bench.EPFLBACSSpecs(cfg6)
 		rows := bench.RunTable(specs, bench.ER, cfg6)
-		writeTable6(rows, cfg6)
+		bench.WriteTable6(os.Stdout, rows, cfg6)
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown -table %q (want 3, 4, 5, 6, dd, multi, approx, serve or all)\n", *table)
+		fmt.Fprintf(os.Stderr, "unknown -table %q (want 3, 4, 5, 6, dd, multi, approx or all)\n", *table)
 		return 2
 	}
 
-	if len(rep.Runs)+len(rep.Sessions)+len(rep.Serves) > 0 && *report != "none" {
+	if len(rep.Runs)+len(rep.Sessions) > 0 && *report != "none" {
 		path := *report
 		if path == "auto" {
 			path = bench.DefaultReportPath(time.Now())
@@ -221,8 +207,8 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "vacsem-bench:", err)
 			exitCode = 1
 		} else {
-			fmt.Fprintf(os.Stderr, "report written to %s (%d runs, %d sessions, %d serves)\n",
-				path, len(rep.Runs), len(rep.Sessions), len(rep.Serves))
+			fmt.Fprintf(os.Stderr, "report written to %s (%d runs, %d sessions)\n",
+				path, len(rep.Runs), len(rep.Sessions))
 		}
 	}
 	if *metricsFmt != "" {
@@ -235,8 +221,8 @@ func run() int {
 }
 
 // runDiff is the -diff mode: load two reports, print the delta table,
-// and gate on regressions.
-func runDiff(args []string, tol, minSeconds float64) int {
+// and gate on changed counts and lost runs.
+func runDiff(args []string) int {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "vacsem-bench -diff: want exactly two args: OLD.json NEW.json")
 		return 2
@@ -251,7 +237,7 @@ func runDiff(args []string, tol, minSeconds float64) int {
 		fmt.Fprintln(os.Stderr, "vacsem-bench:", err)
 		return 2
 	}
-	d := bench.Diff(oldRep, newRep, bench.DiffOptions{TimeTol: tol, MinSeconds: minSeconds})
+	d := bench.Diff(oldRep, newRep)
 	d.WriteTable(os.Stdout)
 	if d.HasRegressions() {
 		fmt.Fprintf(os.Stderr, "vacsem-bench -diff: %d regression(s) against %s\n",
@@ -271,25 +257,4 @@ func writeReport(rep *bench.Report, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-func writeTable6(rows []bench.Row, cfg bench.Config) {
-	limit := cfg.TimeLimit
-	if limit == 0 {
-		limit = 30 * time.Second
-		if cfg.Full {
-			limit = 4 * time.Hour
-		}
-	}
-	fmt.Printf("Table VI: verifying ERs of EPFL and BACS circuits%s\n",
-		map[bool]string{true: " (full-size)", false: " (scaled)"}[cfg.Full])
-	fmt.Printf("%-11s %14s %16s\n", "Name", "VACSEM/s", "Speedup vs DPLL")
-	for _, r := range rows {
-		sp := r.Speedup(core.MethodDPLL, limit)
-		if d := r.Cells[core.MethodDPLL]; d.TimedOut || d.Infeasible {
-			sp = "N/A (" + sp + ")"
-		}
-		fmt.Printf("%-11s %14s %16s\n", r.Name,
-			r.Cells[core.MethodVACSEM].Render(limit), strings.TrimSpace(sp))
-	}
 }

@@ -72,8 +72,9 @@ func main() {
 
 // run carries the whole CLI so that observability teardown (trace
 // flush, profile writes) happens on every exit path; os.Exit only ever
-// runs after the deferred stop.
-func run() int {
+// runs after the deferred stop, and a teardown error turns a zero exit
+// code into 1.
+func run() (exitCode int) {
 	var (
 		metric      = flag.String("metric", "er", "metric: er, med, mhd or thr")
 		metricList  = flag.String("metrics", "", "comma-separated metrics verified in one deduplicated session (e.g. er,med,mhd); overrides -metric")
@@ -121,10 +122,12 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "vacsem:", err)
 		return 1
 	}
-	exitCode := 0
 	defer func() {
 		if err := stop(); err != nil {
 			fmt.Fprintln(os.Stderr, "vacsem:", err)
+			if exitCode == 0 {
+				exitCode = 1
+			}
 		}
 	}()
 

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"math/big"
+	"strings"
 	"time"
 
 	"vacsem/internal/als"
@@ -29,40 +30,17 @@ import (
 
 // Config controls a table run.
 type Config struct {
+	// Options are the verification options every run uses; each run
+	// sets only Method. A zero TimeLimit gets the suite default below.
+	core.Options
 	// Full restores the paper's circuit sizes (slow!). Default uses a
 	// scaled suite with the same structure.
 	Full bool
 	// Versions is the number of approximate versions per benchmark
 	// (paper: 10; scaled default: 3).
 	Versions int
-	// TimeLimit bounds each single verification run (paper: 14400 s;
-	// scaled default: 30 s).
-	TimeLimit time.Duration
 	// Methods to compare; nil means all three.
 	Methods []core.Method
-	// Workers bounds concurrent sub-miter solving per verification
-	// (0 = one per CPU). Counts are identical at any worker count;
-	// runtimes improve on multi-output (MED) miters.
-	Workers int
-	// SimWorkers bounds the goroutines the enum method's simulation
-	// kernel uses per verification (0 = one per CPU; counts are
-	// bit-identical at any setting).
-	SimWorkers int
-	// BDDReorder enables dynamic variable reordering in the bdd method
-	// (counts are identical either way; node counts and runtimes change).
-	BDDReorder bool
-	// NoSharedCache gives every sub-miter solver a private component
-	// cache instead of the run-wide shared one (ablation; counts are
-	// identical either way).
-	NoSharedCache bool
-	// Epsilon, Delta and Seed tune MethodApprox when it appears in
-	// Methods (or in the approx comparison table): each count lands
-	// within a (1+ε) factor of the exact one with probability 1-δ, and
-	// Seed makes the XOR sampling reproducible. Zero values use the
-	// ApproxMC defaults (counter.DefaultEpsilon / DefaultDelta).
-	Epsilon float64
-	Delta   float64
-	Seed    int64
 	// OnRun, when non-nil, receives one RunRecord per individual
 	// verification (each approximate version of each benchmark, per
 	// method), carrying the per-sub-miter wall times the text tables
@@ -73,11 +51,6 @@ type Config struct {
 	// cross-metric cache accounting. cmd/vacsem-bench points it at its
 	// JSON report.
 	OnSession func(SessionRecord)
-	// OnServe, when non-nil, receives one ServeRecord per benchmark the
-	// -table serve mode measures (cold vs store-warm vs
-	// snapshot-reloaded service jobs). cmd/vacsem-bench points it at its
-	// JSON report.
-	OnServe func(ServeRecord)
 }
 
 func (c Config) withDefaults() Config {
@@ -103,13 +76,9 @@ func (c Config) withDefaults() Config {
 
 // options builds the per-run verification options for one method.
 func (c Config) options(m core.Method) core.Options {
-	return core.Options{
-		Method: m, TimeLimit: c.TimeLimit,
-		Workers: c.Workers, SimWorkers: c.SimWorkers,
-		BDDReorder:         c.BDDReorder,
-		DisableSharedCache: c.NoSharedCache,
-		Epsilon:            c.Epsilon, Delta: c.Delta, Seed: c.Seed,
-	}
+	o := c.Options
+	o.Method = m
+	return o
 }
 
 // approxGuarantee is the (ε, δ) the approx backend applies under c:
@@ -660,6 +629,23 @@ func WriteTable(w io.Writer, title string, rows []Row, cfg Config) {
 		"GEOMEAN", "", "", "",
 		GeomeanSpeedup(rows, core.MethodDPLL, cfg.TimeLimit),
 		GeomeanSpeedup(rows, core.MethodEnum, cfg.TimeLimit))
+}
+
+// WriteTable6 prints Table VI: VACSEM against the DPLL baseline, with
+// "N/A" marking rows where the baseline hit the limit.
+func WriteTable6(w io.Writer, rows []Row, cfg Config) {
+	cfg = cfg.withDefaults()
+	fmt.Fprintf(w, "Table VI: verifying ERs of EPFL and BACS circuits%s\n",
+		map[bool]string{true: " (full-size)", false: " (scaled)"}[cfg.Full])
+	fmt.Fprintf(w, "%-11s %14s %16s\n", "Name", "VACSEM/s", "Speedup vs DPLL")
+	for _, r := range rows {
+		sp := r.Speedup(core.MethodDPLL, cfg.TimeLimit)
+		if d := r.Cells[core.MethodDPLL]; d.TimedOut || d.Infeasible {
+			sp = "N/A (" + sp + ")"
+		}
+		fmt.Fprintf(w, "%-11s %14s %16s\n", r.Name,
+			r.Cells[core.MethodVACSEM].Render(cfg.TimeLimit), strings.TrimSpace(sp))
+	}
 }
 
 // WriteDDScalability reproduces the paper's footnote-2 claim as an

@@ -10,7 +10,7 @@ import (
 )
 
 func tinyConfig() Config {
-	return Config{Versions: 1, TimeLimit: 20 * time.Second}
+	return Config{Versions: 1, Options: core.Options{TimeLimit: 20 * time.Second}}
 }
 
 func TestConfigDefaults(t *testing.T) {

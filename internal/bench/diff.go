@@ -8,50 +8,19 @@ import (
 	"sort"
 )
 
-// The bench regression gate: Diff compares two bench reports (old =
+// The bench count gate: Diff compares two bench reports (old =
 // committed baseline, new = fresh run) record-by-record and classifies
-// every matched run. Three things count as regressions:
+// every matched run. Two things count as regressions:
 //
 //   - correctness: two exact runs of the same (bench, metric, method,
-//     version) reporting different counts — counts are deterministic, so
-//     any mismatch is a bug, not noise;
+//     version) reporting different counts, or a run switching between
+//     exact and approximate — counts are deterministic, so any mismatch
+//     is a bug, not noise;
 //   - status: a run that used to complete now times out, becomes
-//     infeasible, errors, or disappears from the report;
-//   - performance: wall time beyond the tolerance band (TimeTol), or the
-//     report-wide sim-kernel throughput dropping below its band.
+//     infeasible, errors, or disappears from the report.
 //
-// Time comparisons are skipped below a noise floor (MinSeconds) — the
-// scaled suite's sub-50ms runs jitter far beyond any useful band.
-
-// DiffOptions tunes the gate's tolerance bands. The zero value gets the
-// defaults noted per field.
-type DiffOptions struct {
-	// TimeTol is the allowed wall-time ratio new/old before a run is a
-	// performance regression; its reciprocal marks an improvement.
-	// Default 1.25.
-	TimeTol float64
-	// MinSeconds is the noise floor: runs where both sides are below it
-	// are never time-compared. Default 0.05.
-	MinSeconds float64
-	// ThroughputTol is the allowed fractional drop of the report-level
-	// sim_blocks_per_sec headline (new >= old*ThroughputTol passes).
-	// Default 0.5 — kernel throughput varies with machine load far more
-	// than per-run wall time does.
-	ThroughputTol float64
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.TimeTol <= 1 {
-		o.TimeTol = 1.25
-	}
-	if o.MinSeconds <= 0 {
-		o.MinSeconds = 0.05
-	}
-	if o.ThroughputTol <= 0 || o.ThroughputTol > 1 {
-		o.ThroughputTol = 0.5
-	}
-	return o
-}
+// Wall times are printed with their ratio but never gated: single runs
+// are too noisy, and benchmark/ owns performance.
 
 // Diff verdicts, ordered from benign to fatal.
 const (
@@ -70,8 +39,8 @@ type DiffEntry struct {
 	// Ratio is NewSeconds/OldSeconds when both sides completed (0 otherwise).
 	Ratio   float64 `json:"ratio,omitempty"`
 	Verdict string  `json:"verdict"`
-	// Reason explains non-ok verdicts ("count changed", "now times out",
-	// "1.9x slower", ...).
+	// Reason explains non-ok verdicts ("exact count changed",
+	// "status ok -> timeout", ...).
 	Reason string `json:"reason,omitempty"`
 }
 
@@ -81,12 +50,6 @@ type DiffResult struct {
 	// Regressions lists the entries whose verdict is REGRESSED or
 	// MISSING; the gate fails iff it is non-empty.
 	Regressions []DiffEntry `json:"regressions"`
-	// OldThroughput/NewThroughput are the reports' sim_blocks_per_sec
-	// headlines; ThroughputOK is false when the drop exceeded the band
-	// (also recorded as a Regressions entry).
-	OldThroughput float64 `json:"old_throughput,omitempty"`
-	NewThroughput float64 `json:"new_throughput,omitempty"`
-	ThroughputOK  bool    `json:"throughput_ok"`
 }
 
 // HasRegressions reports whether the gate should fail.
@@ -112,9 +75,8 @@ func runKey(r *RunRecord) string {
 
 // Diff compares two reports. Runs are matched by (bench, metric,
 // method, version); order within the reports does not matter.
-func Diff(old, new *Report, opt DiffOptions) *DiffResult {
-	opt = opt.withDefaults()
-	d := &DiffResult{ThroughputOK: true}
+func Diff(old, new *Report) *DiffResult {
+	d := &DiffResult{}
 
 	oldRuns := make(map[string]*RunRecord, len(old.Runs))
 	for i := range old.Runs {
@@ -132,7 +94,7 @@ func Diff(old, new *Report, opt DiffOptions) *DiffResult {
 			})
 			continue
 		}
-		d.Entries = append(d.Entries, diffRun(key, or, nr, opt))
+		d.Entries = append(d.Entries, diffRun(key, or, nr))
 	}
 	for key, or := range oldRuns {
 		if !seen[key] {
@@ -143,19 +105,6 @@ func Diff(old, new *Report, opt DiffOptions) *DiffResult {
 		}
 	}
 	sort.Slice(d.Entries, func(i, j int) bool { return d.Entries[i].Key < d.Entries[j].Key })
-
-	d.OldThroughput = old.SimBlocksPerSec
-	d.NewThroughput = new.SimBlocksPerSec
-	if old.SimBlocksPerSec > 0 && new.SimBlocksPerSec < old.SimBlocksPerSec*opt.ThroughputTol {
-		d.ThroughputOK = false
-		d.Regressions = append(d.Regressions, DiffEntry{
-			Key:     "sim_blocks_per_sec",
-			Verdict: VerdictRegressed,
-			Reason: fmt.Sprintf("kernel throughput %.3g -> %.3g blocks/s (%.0f%% of old, tol %.0f%%)",
-				old.SimBlocksPerSec, new.SimBlocksPerSec,
-				100*new.SimBlocksPerSec/old.SimBlocksPerSec, 100*opt.ThroughputTol),
-		})
-	}
 	for _, e := range d.Entries {
 		if e.Verdict == VerdictRegressed || e.Verdict == VerdictMissing {
 			d.Regressions = append(d.Regressions, e)
@@ -165,7 +114,7 @@ func Diff(old, new *Report, opt DiffOptions) *DiffResult {
 }
 
 // diffRun classifies one matched pair.
-func diffRun(key string, or, nr *RunRecord, opt DiffOptions) DiffEntry {
+func diffRun(key string, or, nr *RunRecord) DiffEntry {
 	e := DiffEntry{Key: key, OldSeconds: or.Seconds, NewSeconds: nr.Seconds}
 	ost, nst := runStatus(or), runStatus(nr)
 	if ost != nst {
@@ -187,9 +136,12 @@ func diffRun(key string, or, nr *RunRecord, opt DiffOptions) DiffEntry {
 		e.Reason = "both " + ost
 		return e
 	}
+	if or.Seconds > 0 {
+		e.Ratio = nr.Seconds / or.Seconds
+	}
 	// Both completed. Exact counts are deterministic: any mismatch is a
-	// correctness regression, tolerance bands do not apply. Approximate
-	// runs are allowed to differ in value (the estimate is randomized).
+	// correctness regression. Approximate runs are allowed to differ in
+	// value (the estimate is randomized).
 	if !or.Approx && !nr.Approx && or.Count != nr.Count {
 		e.Verdict = VerdictRegressed
 		e.Reason = fmt.Sprintf("exact count changed: %s -> %s", or.Count, nr.Count)
@@ -199,24 +151,6 @@ func diffRun(key string, or, nr *RunRecord, opt DiffOptions) DiffEntry {
 		e.Verdict = VerdictRegressed
 		e.Reason = fmt.Sprintf("approx flag changed: %v -> %v", or.Approx, nr.Approx)
 		return e
-	}
-	if or.Seconds > 0 {
-		e.Ratio = nr.Seconds / or.Seconds
-	}
-	// Time band, above the noise floor only.
-	if or.Seconds >= opt.MinSeconds || nr.Seconds >= opt.MinSeconds {
-		switch {
-		case nr.Seconds > or.Seconds*opt.TimeTol:
-			e.Verdict = VerdictRegressed
-			e.Reason = fmt.Sprintf("%.2fx slower (%.3gs -> %.3gs, tol %.2fx)",
-				e.Ratio, or.Seconds, nr.Seconds, opt.TimeTol)
-			return e
-		case nr.Seconds*opt.TimeTol < or.Seconds:
-			e.Verdict = VerdictImproved
-			e.Reason = fmt.Sprintf("%.2fx faster (%.3gs -> %.3gs)",
-				1/e.Ratio, or.Seconds, nr.Seconds)
-			return e
-		}
 	}
 	e.Verdict = VerdictOK
 	return e
@@ -236,14 +170,6 @@ func (d *DiffResult) WriteTable(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%-40s %10.3f %10.3f %8s %-10s %s\n",
 			e.Key, e.OldSeconds, e.NewSeconds, ratio, e.Verdict, e.Reason)
-	}
-	if d.OldThroughput > 0 || d.NewThroughput > 0 {
-		status := "ok"
-		if !d.ThroughputOK {
-			status = VerdictRegressed
-		}
-		fmt.Fprintf(w, "%-40s %10.3g %10.3g %8s %-10s\n",
-			"sim_blocks_per_sec", d.OldThroughput, d.NewThroughput, "", status)
 	}
 	fmt.Fprintf(w, "\n%d compared: %d ok, %d improved, %d new, %d regressed, %d missing\n",
 		len(d.Entries), counts[VerdictOK], counts[VerdictImproved],

@@ -1,13 +1,13 @@
 package bench
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func baselineReport() *Report {
 	return &Report{
-		SimBlocksPerSec: 1000,
 		Runs: []RunRecord{
 			{Bench: "RCA-8", Metric: "ER", Method: "vacsem", Version: 1,
 				Seconds: 0.5, Count: "100", Value: "100/256"},
@@ -19,59 +19,25 @@ func baselineReport() *Report {
 	}
 }
 
-// A run slower than old*tol must fail the gate; one inside the band
-// must not.
-func TestDiffTimeRegression(t *testing.T) {
-	old := baselineReport()
-	cur := baselineReport()
-	cur.Runs[1].Seconds = 2.0 // 2x slower than the 1.0s baseline
-
-	d := Diff(old, cur, DiffOptions{TimeTol: 1.5})
-	if !d.HasRegressions() {
-		t.Fatal("2x slowdown with 1.5x tolerance: want regression")
-	}
-	found := false
-	for _, e := range d.Regressions {
-		if e.Key == "RCA-8/MED/vacsem/v1" && e.Verdict == VerdictRegressed {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("regressions = %+v, want RCA-8/MED/vacsem/v1 REGRESSED", d.Regressions)
-	}
-
-	// Same slowdown with a generous band passes.
-	if d := Diff(old, cur, DiffOptions{TimeTol: 3}); d.HasRegressions() {
-		t.Errorf("2x slowdown with 3x tolerance: unexpected regressions %+v", d.Regressions)
-	}
-}
-
-// Sub-noise-floor runs jitter; they must never be time-compared.
-func TestDiffNoiseFloor(t *testing.T) {
-	old := baselineReport()
-	cur := baselineReport()
-	old.Runs[0].Seconds = 0.001
-	cur.Runs[0].Seconds = 0.010 // 10x "slower", but both below the floor
-
-	d := Diff(old, cur, DiffOptions{TimeTol: 1.25, MinSeconds: 0.05})
-	if d.HasRegressions() {
-		t.Errorf("sub-floor jitter flagged: %+v", d.Regressions)
-	}
-}
-
 // Exact counts are deterministic: any mismatch is a correctness
-// regression regardless of tolerance.
+// regression.
 func TestDiffValueMismatch(t *testing.T) {
 	old := baselineReport()
 	cur := baselineReport()
 	cur.Runs[0].Count = "101"
 
-	d := Diff(old, cur, DiffOptions{TimeTol: 100})
+	d := Diff(old, cur)
 	if !d.HasRegressions() {
-		t.Fatal("exact count changed: want regression even at huge tolerance")
+		t.Fatal("exact count changed: want regression")
 	}
 	if got := d.Regressions[0].Reason; !strings.Contains(got, "count changed") {
 		t.Errorf("reason = %q, want count-changed", got)
+	}
+
+	cur = baselineReport()
+	cur.Runs[1].Approx = true
+	if d := Diff(old, cur); !d.HasRegressions() {
+		t.Error("approx flag changed: want regression")
 	}
 }
 
@@ -83,13 +49,13 @@ func TestDiffStatusTransitions(t *testing.T) {
 	cur.Runs[1].TimedOut = true
 	cur.Runs[1].Count, cur.Runs[1].Value = "", ""
 
-	d := Diff(old, cur, DiffOptions{})
+	d := Diff(old, cur)
 	if !d.HasRegressions() {
 		t.Fatal("ok -> timeout: want regression")
 	}
 
 	// Reverse direction: improvement, not regression.
-	d = Diff(cur, old, DiffOptions{})
+	d = Diff(cur, old)
 	if d.HasRegressions() {
 		t.Errorf("timeout -> ok flagged as regression: %+v", d.Regressions)
 	}
@@ -106,31 +72,17 @@ func TestDiffStatusTransitions(t *testing.T) {
 	// Missing run.
 	cur2 := baselineReport()
 	cur2.Runs = cur2.Runs[:1]
-	if d := Diff(old, cur2, DiffOptions{}); !d.HasRegressions() {
+	if d := Diff(old, cur2); !d.HasRegressions() {
 		t.Error("missing runs: want regression")
 	}
 }
 
-// The report-level kernel-throughput headline has its own band.
-func TestDiffThroughput(t *testing.T) {
-	old := baselineReport()
-	cur := baselineReport()
-	cur.SimBlocksPerSec = 100 // 10% of baseline
-
-	d := Diff(old, cur, DiffOptions{ThroughputTol: 0.5})
-	if d.ThroughputOK || !d.HasRegressions() {
-		t.Errorf("10x throughput drop with 50%% band: ThroughputOK=%v regressions=%+v",
-			d.ThroughputOK, d.Regressions)
-	}
-	if d := Diff(old, cur, DiffOptions{ThroughputTol: 0.05}); !d.ThroughputOK {
-		t.Error("10x drop inside a 5% band flagged")
-	}
-}
-
-// Identical reports produce a clean table and no regressions.
+// Identical reports produce a clean table and no regressions; so do
+// reports whose counts agree but whose wall times differ, because the
+// gate checks counts only.
 func TestDiffClean(t *testing.T) {
 	old := baselineReport()
-	d := Diff(old, baselineReport(), DiffOptions{})
+	d := Diff(old, baselineReport())
 	if d.HasRegressions() {
 		t.Fatalf("identical reports: %+v", d.Regressions)
 	}
@@ -140,6 +92,48 @@ func TestDiffClean(t *testing.T) {
 	for _, want := range []string{"RCA-8/ER/vacsem/v1", "3 compared", "0 regressed"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
+		}
+	}
+
+	cur := baselineReport()
+	cur.Runs[0].Seconds *= 10 // 10x slower
+	cur.Runs[1].Seconds /= 10 // 10x faster
+	d = Diff(old, cur)
+	if d.HasRegressions() {
+		t.Fatalf("wall time alone must not regress: %+v", d.Regressions)
+	}
+	want := map[string]float64{"RCA-8/ER/vacsem/v1": 10, "RCA-8/MED/vacsem/v1": 0.1}
+	for _, e := range d.Entries {
+		r, ok := want[e.Key]
+		if !ok {
+			continue
+		}
+		if e.Verdict != VerdictOK || e.Ratio < r*0.999 || e.Ratio > r*1.001 {
+			t.Errorf("%s: verdict %s ratio %v, want ok at %vx", e.Key, e.Verdict, e.Ratio, r)
+		}
+	}
+}
+
+// Every committed BENCH_*.json keeps loading and diffs clean against
+// itself, so the history stays readable as report fields come and go.
+func TestCommittedReportsDiffClean(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_*.json found")
+	}
+	for _, p := range paths {
+		r, err := LoadReport(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if len(r.Runs) == 0 {
+			t.Errorf("%s: no runs", p)
+		}
+		if d := Diff(r, r); d.HasRegressions() {
+			t.Errorf("%s: self-diff regressions %+v", p, d.Regressions)
 		}
 	}
 }

@@ -70,9 +70,6 @@ type RunRecord struct {
 	// BestEffort marks an approx run whose round schedule was cut short
 	// by the time limit on at least one task (Delta is already widened).
 	BestEffort bool `json:"best_effort,omitempty"`
-	// Timeseries is the flight recorder's sampled series for the run
-	// (present when vacsem-bench records flight data, the default).
-	Timeseries *obs.Timeseries `json:"timeseries,omitempty"`
 }
 
 // newRunRecord flattens one verification outcome into a RunRecord. res
@@ -112,7 +109,6 @@ func newRunRecord(bench, metric string, m core.Method, version int, res *core.Re
 		rec.Confidence = res.Confidence
 		rec.BestEffort = res.BestEffort
 	}
-	rec.Timeseries = res.Timeseries
 	rec.Subs = make([]SubRecord, len(res.Subs))
 	for i, sub := range res.Subs {
 		rec.Subs[i] = SubRecord{
@@ -173,9 +169,6 @@ type SessionRecord struct {
 	TimedOut       bool          `json:"timed_out,omitempty"`
 	Err            string        `json:"error,omitempty"`
 	Stats          counter.Stats `json:"stats"`
-	// Timeseries is the flight recorder's sampled series for the session
-	// run (present when flight recording is on).
-	Timeseries *obs.Timeseries `json:"timeseries,omitempty"`
 }
 
 // newSessionRecord flattens one session outcome. sess may be nil.
@@ -206,7 +199,6 @@ func newSessionRecord(bench string, m core.Method, version int, sess *core.Sessi
 	rec.BaseNodesAfter = sess.BaseNodesAfter
 	rec.CacheCrossHits = sess.TotalStats.CacheCrossHits
 	rec.Stats = sess.TotalStats
-	rec.Timeseries = sess.Timeseries
 	rec.Metrics = make([]MetricRecord, len(sess.Results))
 	for i, res := range sess.Results {
 		rec.Metrics[i] = MetricRecord{
@@ -232,16 +224,9 @@ type Report struct {
 	SimWorkers int    `json:"sim_workers"`
 	Tables     string `json:"tables"`
 
-	// SimBlocksPerSec is the run-wide throughput of the compiled
-	// simulation kernel (pattern blocks counted / kernel-seconds), the
-	// perf-trajectory headline AttachMetrics derives from the metrics
-	// snapshot. Zero when the kernel never ran.
-	SimBlocksPerSec float64 `json:"sim_blocks_per_sec"`
-
 	mu       sync.Mutex
 	Runs     []RunRecord     `json:"runs"`
 	Sessions []SessionRecord `json:"sessions,omitempty"`
-	Serves   []ServeRecord   `json:"serves,omitempty"`
 	Metrics  *obs.Snapshot   `json:"metrics,omitempty"`
 }
 
@@ -279,30 +264,10 @@ func (r *Report) AddSession(rec SessionRecord) {
 	r.Sessions = append(r.Sessions, rec)
 }
 
-// AddServe appends one service cold/warm record; safe for concurrent
-// use so it can serve directly as Config.OnServe.
-func (r *Report) AddServe(rec ServeRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.Serves = append(r.Serves, rec)
-}
-
-// AttachMetrics snapshots the default metrics registry into the report
-// and derives the kernel throughput headline from it.
+// AttachMetrics snapshots the default metrics registry into the report.
 func (r *Report) AttachMetrics() {
 	s := obs.Default.Snapshot()
 	r.Metrics = &s
-	var blocks uint64
-	for _, c := range s.Counters {
-		if c.Name == "sim.kernel_blocks" {
-			blocks = c.Value
-		}
-	}
-	for _, h := range s.Histograms {
-		if h.Name == "sim.kernel_seconds" && h.Sum > 0 {
-			r.SimBlocksPerSec = float64(blocks) / h.Sum
-		}
-	}
 }
 
 // WriteJSON serializes the report.

@@ -229,7 +229,7 @@ func TestFusedMatchesIdentityTape(t *testing.T) {
 // asserts the kernel's success metrics (patterns/blocks, and the
 // enum-path aggregates feeding the flight recorder and bench reports)
 // do not advance: a cancelled run must not leak a partial count into
-// sim_blocks_per_sec or any recorded snapshot.
+// any derived throughput or recorded snapshot.
 func TestCountOnesCancelNoMetricLeak(t *testing.T) {
 	c := testutil.RandomCircuit(28, 600, 2, 5)
 	ctx, cancel := context.WithCancel(context.Background())

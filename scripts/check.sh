@@ -42,8 +42,8 @@ go test -run '^$' -bench=. -benchtime=1x ./internal/sim/...
 
 echo "==> parallel-scaling smoke (soft gate: warn below 2x at 4 workers)"
 # The smoke self-skips on machines with fewer than 4 CPUs (no speedup is
-# physically measurable there). Soft gate, like the bench -diff gate:
-# shared CI runners are too noisy to hard-fail on wall-clock ratios.
+# physically measurable there). Soft gate: shared CI runners are too
+# noisy to hard-fail on wall-clock ratios.
 scaling_out=$(go test -run '^TestParallelScalingSmoke$' -v ./internal/sim/)
 echo "$scaling_out" | grep -E "scaling smoke|SKIP|SCALING" || true
 if echo "$scaling_out" | grep -q "SCALING WARNING"; then
@@ -95,37 +95,18 @@ fi
 echo "==> serve smoke (HTTP service: cold/warm dedup, /metrics, snapshot on SIGTERM)"
 ./scripts/serve_smoke.sh
 
-echo "==> serve bench smoke (cold vs store-warm service jobs; values must match)"
-serve_out=$(go run ./cmd/vacsem-bench -table serve -versions 1 -timelimit 15s -report none)
-echo "$serve_out"
-if echo "$serve_out" | grep -q "MISMATCH\|ERROR:"; then
-	echo "serve table reported a mismatch or error"
-	exit 1
-fi
-
 echo "==> traced quickstart (JSONL trace parses and is self-consistent)"
 go run ./examples/traced_verify >/dev/null
 
-echo "==> bench regression gate (vacsem-bench -diff vs committed baseline)"
+echo "==> bench count gate (vacsem-bench -diff vs committed baseline)"
 # Re-run the baseline's table with its exact parameters and diff against
-# the committed BENCH_*.json. A changed exact count or approx flag is a
-# hard failure: the product is a count. Wall-time regressions stay a
-# soft gate behind a generous 2x band (shared runners are too noisy to
-# fail on them).
+# the committed BENCH_*.json. -diff exits 1 when an exact count or approx
+# flag changed, a completed run now times out, errors or is infeasible,
+# or a run went missing: the product is a count. Wall time is printed,
+# not gated; benchmark/ owns performance.
 bench_baseline=BENCH_20260808T085213.json
 go run ./cmd/vacsem-bench -table 4 -versions 2 -timelimit 10s \
 	-report "$apxdir/bench_new.json" >/dev/null
-diff_status=0
-diff_out=$(go run ./cmd/vacsem-bench -diff -diff-tol 2.0 \
-	"$bench_baseline" "$apxdir/bench_new.json") || diff_status=$?
-echo "$diff_out"
-if [ "$diff_status" -eq 0 ]; then
-	echo "bench diff vs $bench_baseline: clean"
-elif echo "$diff_out" | grep -q "exact count changed\|approx flag changed"; then
-	echo "bench diff vs $bench_baseline: a count or approx flag changed"
-	exit 1
-else
-	echo "WARNING: bench regression vs $bench_baseline (soft gate, not failing the check)"
-fi
+go run ./cmd/vacsem-bench -diff "$bench_baseline" "$apxdir/bench_new.json"
 
 echo "OK"
