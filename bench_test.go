@@ -2,12 +2,14 @@ package vacsem
 
 // Benchmark harness: one testing.B family per table/figure of the
 // paper's evaluation, plus ablation benches for the design choices
-// DESIGN.md calls out (simulation hook, density threshold alpha,
+// DESIGN.md calls out (simulation hook, density threshold alpha, shared
 // component cache, synthesis step). These use small fixed workloads so
 // `go test -bench=.` terminates quickly; the full parameter sweeps live
-// in cmd/vacsem-bench.
+// in cmd/vacsem-bench. The counter's own search knobs (component cache,
+// implicit BCP, clause learning) are ablated in internal/counter.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -27,16 +29,14 @@ import (
 func verifyBench(b *testing.B, metric bench.Metric, exact, approx *circuit.Circuit, m core.Method) {
 	b.Helper()
 	opt := core.Options{Method: m, TimeLimit: 5 * time.Minute}
+	spec := core.MetricSpec{Kind: core.MetricER}
+	if metric == bench.MED {
+		spec.Kind = core.MetricMED
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if metric == bench.MED {
-			_, err = VerifyMED(exact, approx, opt)
-		} else {
-			_, err = VerifyER(exact, approx, opt)
-		}
-		if err != nil {
+		if _, err := Verify(context.Background(), exact, approx, spec, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,25 +147,7 @@ func BenchmarkAblationAlpha(b *testing.B) {
 		b.Run(fmt.Sprintf("alpha=%g", alpha), func(b *testing.B) {
 			opt := core.Options{Method: core.MethodVACSEM, Alpha: alpha, TimeLimit: 5 * time.Minute}
 			for i := 0; i < b.N; i++ {
-				if _, err := VerifyER(exact, approx, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCache compares component caching on/off. The
-// workload is deliberately small: without the cache, adder miters blow
-// up exponentially (that is the point of the ablation).
-func BenchmarkAblationCache(b *testing.B) {
-	exact := gen.RippleCarryAdder(10)
-	approx := als.LowerORAdder(10, 3)
-	for _, disable := range []bool{false, true} {
-		b.Run(fmt.Sprintf("disableCache=%v", disable), func(b *testing.B) {
-			opt := core.Options{Method: core.MethodVACSEM, DisableCache: disable, TimeLimit: 5 * time.Minute}
-			for i := 0; i < b.N; i++ {
-				if _, err := VerifyER(exact, approx, opt); err != nil {
+				if _, err := Verify(context.Background(), exact, approx, core.MetricSpec{Kind: core.MetricER}, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -187,34 +169,7 @@ func BenchmarkAblationSharedCache(b *testing.B) {
 				Workers: 0, TimeLimit: 5 * time.Minute,
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := VerifyMED(exact, approx, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationEngine toggles the search-engine features (implicit
-// BCP, clause learning) on the adder-MED workload where they matter.
-func BenchmarkAblationEngine(b *testing.B) {
-	exact := gen.RippleCarryAdder(12)
-	approx := als.LowerORAdder(12, 4)
-	cases := []struct {
-		name string
-		opt  core.Options
-	}{
-		{"full", core.Options{}},
-		{"noIBCP", core.Options{DisableIBCP: true}},
-		{"noLearning", core.Options{DisableLearning: true}},
-		{"noIBCPnoLearning", core.Options{DisableIBCP: true, DisableLearning: true}},
-	}
-	for _, c := range cases {
-		c.opt.Method = core.MethodVACSEM
-		c.opt.TimeLimit = 5 * time.Minute
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := VerifyMED(exact, approx, c.opt); err != nil {
+				if _, err := Verify(context.Background(), exact, approx, core.MetricSpec{Kind: core.MetricMED}, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -231,7 +186,7 @@ func BenchmarkAblationSynth(b *testing.B) {
 		b.Run(fmt.Sprintf("noSynth=%v", noSynth), func(b *testing.B) {
 			opt := core.Options{Method: core.MethodVACSEM, NoSynth: noSynth, TimeLimit: 5 * time.Minute}
 			for i := 0; i < b.N; i++ {
-				if _, err := VerifyER(exact, approx, opt); err != nil {
+				if _, err := Verify(context.Background(), exact, approx, core.MetricSpec{Kind: core.MetricER}, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -264,7 +219,7 @@ func BenchmarkFig2Example(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := counter.New(f, counter.Config{EnableSim: true})
-		n, err := s.Count()
+		n, err := s.Count(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

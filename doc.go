@@ -27,7 +27,8 @@
 //
 //	exact := vacsem.RippleCarryAdder(32)
 //	approx := vacsem.LowerORAdder(32, 8)
-//	res, err := vacsem.VerifyER(exact, approx, vacsem.Options{})
+//	spec := vacsem.MetricSpec{Kind: vacsem.MetricER}
+//	res, err := vacsem.Verify(context.Background(), exact, approx, spec, vacsem.Options{})
 //	if err != nil { ... }
 //	fmt.Println("ER =", res.Value) // exact rational
 //

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -19,6 +20,12 @@ const width = 16
 
 func main() {
 	exact := vacsem.RippleCarryAdder(width)
+	// All three metrics verify in one session: the shared base miter is
+	// built once and deviation bits common to several metrics are
+	// counted once.
+	specs := []vacsem.MetricSpec{
+		{Kind: vacsem.MetricER}, {Kind: vacsem.MetricMED}, {Kind: vacsem.MetricMHD},
+	}
 
 	fmt.Printf("design-space sweep of approximate %d-bit adders (formal, all 2^%d patterns)\n\n",
 		width, 2*width)
@@ -34,18 +41,11 @@ func main() {
 		for k := 0; k <= 6; k += 2 {
 			approx := family.build(k)
 			start := time.Now()
-			er, err := vacsem.VerifyER(exact, approx, vacsem.Options{})
+			sr, err := vacsem.VerifyMetrics(context.Background(), exact, approx, specs, vacsem.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}
-			med, err := vacsem.VerifyMED(exact, approx, vacsem.Options{})
-			if err != nil {
-				log.Fatal(err)
-			}
-			mhd, err := vacsem.VerifyMHD(exact, approx, vacsem.Options{})
-			if err != nil {
-				log.Fatal(err)
-			}
+			er, med, mhd := sr.Results[0], sr.Results[1], sr.Results[2]
 			fmt.Printf("%-14s %-3d %12.6g %14.6g %10.4g %12v\n",
 				family.name, k, er.Float(), med.Float(), mhd.Float(),
 				time.Since(start).Round(time.Millisecond))

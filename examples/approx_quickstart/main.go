@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -38,7 +39,9 @@ func main() {
 		return
 	}
 
-	ref, err := vacsem.VerifyER(exact, approx, vacsem.Options{Method: vacsem.MethodVACSEM})
+	ctx := context.Background()
+	erSpec := vacsem.MetricSpec{Kind: vacsem.MetricER}
+	ref, err := vacsem.Verify(ctx, exact, approx, erSpec, vacsem.Options{Method: vacsem.MethodVACSEM})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func main() {
 	// Tighter ε means a smaller tolerance band but a larger cell-size
 	// pivot (more exact-counting work per probe); smaller δ means more
 	// estimation rounds. The seed fixes the sampled parity constraints.
-	est, err := vacsem.VerifyER(exact, approx, vacsem.Options{
+	est, err := vacsem.Verify(ctx, exact, approx, erSpec, vacsem.Options{
 		Method: vacsem.MethodApprox, Epsilon: 0.2, Delta: 0.1, Seed: 1,
 	})
 	if err != nil {

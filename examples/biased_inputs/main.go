@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,13 +19,16 @@ const width = 10
 func main() {
 	exact := vacsem.RippleCarryAdder(width)
 	approx := vacsem.LowerORAdder(width, 3)
+	ctx := context.Background()
+	erSpec := vacsem.MetricSpec{Kind: vacsem.MetricER}
+	medSpec := vacsem.MetricSpec{Kind: vacsem.MetricMED}
 
 	// Uniform baseline.
-	er, err := vacsem.VerifyER(exact, approx, vacsem.Options{})
+	er, err := vacsem.Verify(ctx, exact, approx, erSpec, vacsem.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	med, err := vacsem.VerifyMED(exact, approx, vacsem.Options{})
+	med, err := vacsem.Verify(ctx, exact, approx, medSpec, vacsem.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,11 +48,11 @@ func main() {
 			biases[op*width+j] = b
 		}
 	}
-	erB, err := vacsem.VerifyERBiased(exact, approx, biases, vacsem.Options{})
+	erB, err := vacsem.VerifyBiased(ctx, exact, approx, erSpec, biases, vacsem.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	medB, err := vacsem.VerifyMEDBiased(exact, approx, biases, vacsem.Options{})
+	medB, err := vacsem.VerifyBiased(ctx, exact, approx, medSpec, biases, vacsem.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,11 +72,11 @@ func main() {
 	both := cond.AddGate(vacsem.And, allOnesA, allOnesB)
 	cond.AddOutput(cond.AddGate(vacsem.Not, both), "ok")
 
-	erC, err := vacsem.VerifyERConditional(exact, approx, cond, vacsem.Options{})
+	erC, err := vacsem.VerifyERConditional(ctx, exact, approx, cond, vacsem.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	medC, err := vacsem.VerifyMEDConditional(exact, approx, cond, vacsem.Options{})
+	medC, err := vacsem.VerifyMEDConditional(ctx, exact, approx, cond, vacsem.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

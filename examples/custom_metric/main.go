@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/big"
@@ -48,7 +49,7 @@ func main() {
 	}
 	m.AddOutput(m.AddGate(vacsem.Xor, par(ye), par(ya)), "parity_err")
 
-	r, err2 := vacsem.VerifyMiter("parity-error", m, []*big.Int{big.NewInt(1)}, vacsem.Options{})
+	r, err2 := vacsem.VerifyMiter(context.Background(), "parity-error", m, []*big.Int{big.NewInt(1)}, vacsem.Options{})
 	if err2 != nil {
 		log.Fatal(err2)
 	}
@@ -69,7 +70,7 @@ func main() {
 		hd.AddOutput(hd.AddGate(vacsem.Xor, ye2[j], ya2[j]), fmt.Sprintf("flip%d", j))
 		weights[j] = new(big.Int).Lsh(big.NewInt(1), uint(j))
 	}
-	r2, err := vacsem.VerifyMiter("flip-cost", hd, weights, vacsem.Options{})
+	r2, err := vacsem.VerifyMiter(context.Background(), "flip-cost", hd, weights, vacsem.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func main() {
 		if name == "flipcost" {
 			w = weights
 		}
-		enum, err := vacsem.VerifyMiter(name, miter, w, vacsem.Options{Method: vacsem.MethodEnum})
+		enum, err := vacsem.VerifyMiter(context.Background(), name, miter, w, vacsem.Options{Method: vacsem.MethodEnum})
 		if err != nil {
 			log.Fatal(err)
 		}
-		vac, err := vacsem.VerifyMiter(name, miter, w, vacsem.Options{})
+		vac, err := vacsem.VerifyMiter(context.Background(), name, miter, w, vacsem.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/big"
@@ -23,14 +24,15 @@ func main() {
 	// Workers: 0 solves the per-bit sub-miters of the MED miter on one
 	// worker per CPU; the counts are identical to a sequential run.
 	opt := vacsem.Options{Workers: 0}
+	ctx := context.Background()
 	for k := 0; k <= 6; k++ {
 		approx := vacsem.TruncatedMultiplier(n, k)
 		start := time.Now()
-		er, err := vacsem.VerifyER(exact, approx, opt)
+		er, err := vacsem.Verify(ctx, exact, approx, vacsem.MetricSpec{Kind: vacsem.MetricER}, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		med, err := vacsem.VerifyMED(exact, approx, opt)
+		med, err := vacsem.Verify(ctx, exact, approx, vacsem.MetricSpec{Kind: vacsem.MetricMED}, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -43,7 +45,8 @@ func main() {
 	fmt.Printf("\ndeviation distribution of the k=5 design: P(|y-y'| > t)\n\n")
 	fmt.Printf("%-8s %14s %14s\n", "t", "P(dev>t)", "exact fraction")
 	for _, t := range []int64{0, 1, 2, 4, 8, 16, 32, 64} {
-		r, err := vacsem.VerifyThresholdProb(exact, approx, big.NewInt(t), vacsem.Options{})
+		r, err := vacsem.Verify(ctx, exact, approx,
+			vacsem.MetricSpec{Kind: vacsem.MetricThresholdProb, Threshold: big.NewInt(t)}, vacsem.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

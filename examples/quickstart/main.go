@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -18,6 +19,10 @@ func main() {
 	exact := vacsem.RippleCarryAdder(width)
 	approx := vacsem.LowerORAdder(width, 4) // low 4 bits approximated
 
+	ctx := context.Background()
+	erSpec := vacsem.MetricSpec{Kind: vacsem.MetricER}
+	medSpec := vacsem.MetricSpec{Kind: vacsem.MetricMED}
+
 	fmt.Printf("exact  : %s\n", exact.Stat())
 	fmt.Printf("approx : %s\n\n", approx.Stat())
 
@@ -30,7 +35,7 @@ func main() {
 			ev.Done, ev.Total, ev.Output, ev.Runtime.Round(time.Microsecond))
 	}
 	for _, m := range []vacsem.Method{vacsem.MethodVACSEM, vacsem.MethodDPLL} {
-		er, err := vacsem.VerifyER(exact, approx, vacsem.Options{Method: m})
+		er, err := vacsem.Verify(ctx, exact, approx, erSpec, vacsem.Options{Method: m})
 		if err != nil {
 			log.Fatalf("%v ER: %v", m, err)
 		}
@@ -38,7 +43,7 @@ func main() {
 		if m == vacsem.MethodVACSEM {
 			opt.Progress = progress
 		}
-		med, err := vacsem.VerifyMED(exact, approx, opt)
+		med, err := vacsem.Verify(ctx, exact, approx, medSpec, opt)
 		if err != nil {
 			log.Fatalf("%v MED: %v", m, err)
 		}
@@ -55,11 +60,11 @@ func main() {
 	// demonstrate on a narrower adder).
 	smallExact := vacsem.RippleCarryAdder(8)
 	smallApprox := vacsem.LowerORAdder(8, 4)
-	enum, err := vacsem.VerifyER(smallExact, smallApprox, vacsem.Options{Method: vacsem.MethodEnum})
+	enum, err := vacsem.Verify(ctx, smallExact, smallApprox, erSpec, vacsem.Options{Method: vacsem.MethodEnum})
 	if err != nil {
 		log.Fatal(err)
 	}
-	vac, err := vacsem.VerifyER(smallExact, smallApprox, vacsem.Options{})
+	vac, err := vacsem.Verify(ctx, smallExact, smallApprox, erSpec, vacsem.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -40,7 +41,7 @@ func main() {
 	var buf bytes.Buffer
 	tr := vacsem.NewTracer(&buf)
 	vacsem.SetTracer(tr)
-	res, err := vacsem.VerifyMED(exact, approx, vacsem.Options{Workers: 4})
+	res, err := vacsem.Verify(context.Background(), exact, approx, vacsem.MetricSpec{Kind: vacsem.MetricMED}, vacsem.Options{Workers: 4})
 	vacsem.SetTracer(nil)
 	if err != nil {
 		log.Fatal(err)

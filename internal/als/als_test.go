@@ -13,7 +13,7 @@ func exhaustiveER(exact, approx *circuit.Circuit, t *testing.T) float64 {
 	t.Helper()
 	r, err := core.Verify(context.Background(), exact, approx, core.MetricSpec{Kind: core.MetricER}, core.Options{Method: core.MethodEnum})
 	if err != nil {
-		t.Fatalf("VerifyER: %v", err)
+		t.Fatalf("Verify ER: %v", err)
 	}
 	return r.Float()
 }

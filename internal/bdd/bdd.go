@@ -20,7 +20,7 @@ import (
 	"vacsem/internal/obs"
 )
 
-// Metrics of the decision-diagram flow, flushed once per BuildOutputs*
+// Metrics of the decision-diagram flow, flushed once per Build
 // call (the hot ITE loop itself only bumps plain struct fields).
 var (
 	mITECalls  = obs.Default.Counter("bdd.ite_calls")
@@ -107,17 +107,6 @@ func New(numVars, limit int) *Manager {
 
 // NumNodes returns the live node count (including the two terminals).
 func (m *Manager) NumNodes() int { return len(m.nodes) }
-
-// SetContext installs a cancellation source: every ITE apply polls it
-// (every few thousand recursion steps) and aborts with the context's
-// error. A nil context disables polling.
-func (m *Manager) SetContext(ctx context.Context) {
-	m.span = obs.SpanFrom(ctx) // parent span for growth events
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil // uncancellable context: skip the polling cost
-	}
-	m.ctx = ctx
-}
 
 // ITECalls returns the number of ITE apply invocations (including memo
 // hits) since the manager was created.
@@ -305,21 +294,6 @@ func (m *Manager) Size(f Ref) int {
 	return len(seen)
 }
 
-// BuildOutputs builds the BDDs of every primary output of the circuit,
-// with circuit input i mapped to BDD variable i. It returns ErrNodeLimit
-// when the diagram explodes past the manager's budget.
-func (m *Manager) BuildOutputs(c *circuit.Circuit) ([]Ref, error) {
-	return m.BuildOutputsOrdered(c, nil)
-}
-
-// BuildOutputsCtx is BuildOutputsOrdered with cooperative cancellation:
-// the apply loop polls ctx and aborts with its error mid-build.
-func (m *Manager) BuildOutputsCtx(ctx context.Context, c *circuit.Circuit, pos []int) ([]Ref, error) {
-	m.SetContext(ctx)
-	defer m.SetContext(nil)
-	return m.BuildOutputsOrdered(c, pos)
-}
-
 // DFSOrder computes the classic static variable order: inputs in
 // first-touch order of a depth-first traversal from the outputs. For
 // word-parallel structures (adders, comparators) this interleaves the
@@ -366,20 +340,23 @@ func DFSOrder(c *circuit.Circuit) []int {
 	return pos
 }
 
-// BuildOutputsOrdered is BuildOutputs with an explicit variable order:
-// pos[i] is the BDD variable of circuit input i (nil means declaration
-// order).
-func (m *Manager) BuildOutputsOrdered(c *circuit.Circuit, pos []int) ([]Ref, error) {
-	return m.BuildNodesOrdered(c, pos, c.Outputs)
-}
-
-// BuildNodesOrdered builds the BDDs of the given circuit nodes (any
-// nodes, not just primary outputs), with circuit input i mapped to BDD
-// variable pos[i] (nil means declaration order). Gates outside the
-// target cones are skipped. The returned refs parallel ids. When
-// EnableAutoReorder is armed, sifting runs between gate lowerings at
-// doubling node-count thresholds.
-func (m *Manager) BuildNodesOrdered(c *circuit.Circuit, pos []int, ids []int) ([]Ref, error) {
+// Build builds the BDDs of the given circuit nodes (any nodes, not just
+// primary outputs — pass c.Outputs for those), with circuit input i
+// mapped to BDD variable pos[i] (nil means declaration order). Gates
+// outside the target cones are skipped. The returned refs parallel ids.
+// It returns ErrNodeLimit when the diagram explodes past the manager's
+// budget. When EnableAutoReorder is armed, sifting runs between gate
+// lowerings at doubling node-count thresholds.
+//
+// For the duration of the call every ITE apply polls ctx (every few
+// thousand recursion steps) and aborts with the context's error, and
+// bdd_growth trace events parent to ctx's span.
+func (m *Manager) Build(ctx context.Context, c *circuit.Circuit, pos []int, ids []int) ([]Ref, error) {
+	m.span = obs.SpanFrom(ctx)
+	if ctx.Done() != nil { // an uncancellable context skips the polling cost
+		m.ctx = ctx
+	}
+	defer func() { m.ctx, m.span = nil, 0 }()
 	defer m.flushObs()
 	if c.NumInputs() != m.numVars {
 		return nil, fmt.Errorf("bdd: circuit has %d inputs, manager %d vars",

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestBuildOutputsMatchesBrute(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		c := testutil.RandomCircuit(3+int(seed%6), 5+int(seed*3%30), 3, seed+900)
 		m := New(c.NumInputs(), 0)
-		outs, err := m.BuildOutputs(c)
+		outs, err := m.Build(context.Background(), c, nil, c.Outputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestBuildOutputsMatchesBrute(t *testing.T) {
 func TestBuildAdder(t *testing.T) {
 	c := gen.RippleCarryAdder(8)
 	m := New(c.NumInputs(), 0)
-	outs, err := m.BuildOutputs(c)
+	outs, err := m.Build(context.Background(), c, nil, c.Outputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestNodeLimit(t *testing.T) {
 	// cleanly even on mult4.
 	c := gen.ArrayMultiplier(4)
 	m := New(c.NumInputs(), 40)
-	if _, err := m.BuildOutputs(c); err != ErrNodeLimit {
+	if _, err := m.Build(context.Background(), c, nil, c.Outputs); err != ErrNodeLimit {
 		t.Errorf("expected ErrNodeLimit, got %v", err)
 	}
 }
@@ -177,7 +178,7 @@ func TestSize(t *testing.T) {
 func TestInputCountMismatch(t *testing.T) {
 	c := gen.RippleCarryAdder(2)
 	m := New(3, 0)
-	if _, err := m.BuildOutputs(c); err == nil {
+	if _, err := m.Build(context.Background(), c, nil, c.Outputs); err == nil {
 		t.Error("input-count mismatch accepted")
 	}
 }

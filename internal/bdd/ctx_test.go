@@ -8,29 +8,6 @@ import (
 	"vacsem/internal/testutil"
 )
 
-// TestBuildOutputsCtxMatches pins that the context-aware build produces
-// the same diagrams (same model counts) as the plain build.
-func TestBuildOutputsCtxMatches(t *testing.T) {
-	c := testutil.RandomCircuit(10, 80, 3, 17)
-	plain := New(len(c.Inputs), 0)
-	want, err := plain.BuildOutputs(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withCtx := New(len(c.Inputs), 0)
-	got, err := withCtx.BuildOutputsCtx(context.Background(), c, DFSOrder(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		w := plain.CountOnes(want[i])
-		g := withCtx.CountOnes(got[i])
-		if w.Cmp(g) != 0 {
-			t.Errorf("output %d: count %v, want %v", i, g, w)
-		}
-	}
-}
-
 // TestBuildOutputsCtxCancel cancels during a build large enough to cross
 // many poll intervals and expects context.Canceled (or, if the build
 // wins the race, a clean result).
@@ -39,7 +16,7 @@ func TestBuildOutputsCtxCancel(t *testing.T) {
 	m := New(len(c.Inputs), 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := m.BuildOutputsCtx(ctx, c, DFSOrder(c))
+	_, err := m.Build(ctx, c, DFSOrder(c), c.Outputs)
 	if err == nil {
 		t.Skip("build finished before the first poll")
 	}
@@ -49,15 +26,15 @@ func TestBuildOutputsCtxCancel(t *testing.T) {
 }
 
 // TestSetContextCleared ensures a manager is usable again after a
-// cancelled context-aware build: BuildOutputsCtx must clear its context
-// on exit so later plain calls don't inherit a dead deadline.
+// cancelled build: Build must clear its context on exit so later calls
+// don't inherit a dead deadline.
 func TestSetContextCleared(t *testing.T) {
 	c := testutil.RandomCircuit(8, 40, 2, 31)
 	m := New(len(c.Inputs), 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _ = m.BuildOutputsCtx(ctx, c, DFSOrder(c))
-	if _, err := m.BuildOutputs(c); err != nil {
+	_, _ = m.Build(ctx, c, DFSOrder(c), c.Outputs)
+	if _, err := m.Build(context.Background(), c, nil, c.Outputs); err != nil {
 		t.Fatalf("plain build after cancelled ctx build: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -60,12 +61,12 @@ func TestOrderedBuildMatchesUnordered(t *testing.T) {
 		want := testutil.CountOnesBrute(c)
 
 		plain := New(c.NumInputs(), 0)
-		outs1, err := plain.BuildOutputs(c)
+		outs1, err := plain.Build(context.Background(), c, nil, c.Outputs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ordered := New(c.NumInputs(), 0)
-		outs2, err := ordered.BuildOutputsOrdered(c, DFSOrder(c))
+		outs2, err := ordered.Build(context.Background(), c, DFSOrder(c), c.Outputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestOrderedBuildMatchesUnordered(t *testing.T) {
 func TestOrderedAdderStaysSmall(t *testing.T) {
 	c := gen.RippleCarryAdder(32)
 	m := New(c.NumInputs(), 1<<20)
-	if _, err := m.BuildOutputsOrdered(c, DFSOrder(c)); err != nil {
+	if _, err := m.Build(context.Background(), c, DFSOrder(c), c.Outputs); err != nil {
 		t.Fatalf("interleaved 32-bit adder should not explode: %v", err)
 	}
 	if m.NumNodes() > 100000 {
@@ -95,7 +96,7 @@ func TestOrderedAdderStaysSmall(t *testing.T) {
 func TestBadOrderRejected(t *testing.T) {
 	c := gen.RippleCarryAdder(2)
 	m := New(c.NumInputs(), 0)
-	if _, err := m.BuildOutputsOrdered(c, []int{0, 1}); err == nil {
+	if _, err := m.Build(context.Background(), c, []int{0, 1}, c.Outputs); err == nil {
 		t.Error("short order accepted")
 	}
 }

@@ -30,8 +30,8 @@ const (
 	siftGrowthCap = 2
 )
 
-// EnableAutoReorder arms dynamic variable reordering: BuildOutputs*
-// and BuildNodesOrdered then run a sifting pass whenever the node table
+// EnableAutoReorder arms dynamic variable reordering: Build then runs
+// a sifting pass whenever the node table
 // doubles past the trigger threshold. Off by default — reordering
 // trades build time for node count and changes no results.
 func (m *Manager) EnableAutoReorder() {

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -36,7 +37,7 @@ func TestSwapLevelsPreservesFunctions(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		c := testutil.RandomCircuit(8, 30+int(seed*7%40), 3, seed)
 		m := New(8, 0)
-		roots, err := m.BuildOutputs(c)
+		roots, err := m.Build(context.Background(), c, nil, c.Outputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestSwapLevelsPreservesFunctions(t *testing.T) {
 func TestSwapLevelsKeepsOpsUsable(t *testing.T) {
 	c := testutil.RandomCircuit(6, 25, 2, 3)
 	m := New(6, 0)
-	roots, err := m.BuildOutputs(c)
+	roots, err := m.Build(context.Background(), c, nil, c.Outputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSwapLevelsKeepsOpsUsable(t *testing.T) {
 func TestReorderShrinksBadOrderAdder(t *testing.T) {
 	c := gen.RippleCarryAdder(8) // 16 inputs, declaration order is bad
 	m := New(16, 0)
-	roots, err := m.BuildOutputs(c) // nil order = declaration order
+	roots, err := m.Build(context.Background(), c, nil, c.Outputs) // nil order = declaration order
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestCountDifferentMatchesXor(t *testing.T) {
 		nIn := 4 + int(seed%8)
 		c := testutil.RandomCircuit(nIn, 20+int(seed*11%60), 2, seed)
 		m := New(nIn, 0)
-		roots, err := m.BuildOutputs(c)
+		roots, err := m.Build(context.Background(), c, nil, c.Outputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +169,14 @@ func TestCountDifferentMatchesXor(t *testing.T) {
 func TestAutoReorderCountsUnchanged(t *testing.T) {
 	c := testutil.RandomCircuit(14, 250, 4, 21)
 	fixed := New(14, 0)
-	want, err := fixed.BuildOutputs(c)
+	want, err := fixed.Build(context.Background(), c, nil, c.Outputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	auto := New(14, 0)
 	auto.EnableAutoReorder()
 	auto.reorderNext = 256 // fire several times on this small build
-	got, err := auto.BuildOutputs(c)
+	got, err := auto.Build(context.Background(), c, nil, c.Outputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,8 @@ func TestAutoReorderCountsUnchanged(t *testing.T) {
 // TestVarOrderTracksSwaps pins the var<->level bookkeeping.
 func TestVarOrderTracksSwaps(t *testing.T) {
 	m := New(4, 0)
-	if _, err := m.BuildOutputs(gen.RippleCarryAdder(2)); err != nil {
+	c := gen.RippleCarryAdder(2)
+	if _, err := m.Build(context.Background(), c, nil, c.Outputs); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.swapLevels(1); err != nil {

@@ -166,7 +166,7 @@ func TestTotalStatsAggregates(t *testing.T) {
 	}
 }
 
-// TestWCEContextCancel covers the SAT-probe path of VerifyWCEContext.
+// TestWCEContextCancel covers the SAT-probe path of VerifyWCE.
 func TestWCEContextCancel(t *testing.T) {
 	exact := gen.ArrayMultiplier(10)
 	approx := als.TruncatedMultiplier(10, 5)

@@ -177,10 +177,6 @@ type Options struct {
 	TimeLimit time.Duration
 	// Alpha overrides the density-score scaling factor (default 2).
 	Alpha float64
-	// MaxSimVars overrides the simulation input cap (default 26).
-	MaxSimVars int
-	// DisableCache turns off component caching (ablation).
-	DisableCache bool
 	// DisableSharedCache gives every task solver a private component
 	// cache instead of the session-wide shared one (ablation; results
 	// are bit-identical either way, sharing only adds cross-task hits —
@@ -194,15 +190,8 @@ type Options struct {
 	// the store's component tier as the session's shared cache. Exact
 	// results are bit-identical with or without a store; approximate
 	// results reuse only entries whose (ε, δ) guarantee is at least as
-	// tight as the request's. Ignored when DisableCache is set.
+	// tight as the request's.
 	Store *store.Store
-	// DisableIBCP turns off failed-literal probing (ablation).
-	DisableIBCP bool
-	// DisableLearning turns off conflict-driven clause learning (ablation).
-	DisableLearning bool
-	// MinSimGates overrides the minimum sub-circuit size the controller
-	// hands to the simulator (default 24).
-	MinSimGates int
 	// BDDNodeLimit caps the decision-diagram size for MethodBDD
 	// (default 1<<22 nodes).
 	BDDNodeLimit int
@@ -240,22 +229,17 @@ type Options struct {
 // configuration.
 func (o *Options) engineConfig() engine.Config {
 	return engine.Config{
-		NoSynth:         o.NoSynth,
-		Alpha:           o.Alpha,
-		MaxSimVars:      o.MaxSimVars,
-		MinSimGates:     o.MinSimGates,
-		DisableCache:    o.DisableCache,
-		SharedCache:     !o.DisableSharedCache,
-		Store:           o.Store,
-		DisableIBCP:     o.DisableIBCP,
-		DisableLearning: o.DisableLearning,
-		BDDNodeLimit:    o.BDDNodeLimit,
-		BDDReorder:      o.BDDReorder,
-		Workers:         o.Workers,
-		SimWorkers:      o.SimWorkers,
-		Epsilon:         o.Epsilon,
-		Delta:           o.Delta,
-		Seed:            o.Seed,
+		NoSynth:      o.NoSynth,
+		Alpha:        o.Alpha,
+		SharedCache:  !o.DisableSharedCache,
+		Store:        o.Store,
+		BDDNodeLimit: o.BDDNodeLimit,
+		BDDReorder:   o.BDDReorder,
+		Workers:      o.Workers,
+		SimWorkers:   o.SimWorkers,
+		Epsilon:      o.Epsilon,
+		Delta:        o.Delta,
+		Seed:         o.Seed,
 	}
 }
 
@@ -480,9 +464,6 @@ func withTimeLimit(ctx context.Context, opt Options) (context.Context, context.C
 func mapErr(ctx context.Context, err error) error {
 	if err == nil {
 		return nil
-	}
-	if errors.Is(err, counter.ErrTimeout) {
-		return ErrTimeout
 	}
 	if errors.Is(err, context.DeadlineExceeded) && errors.Is(context.Cause(ctx), errRunDeadline) {
 		return ErrTimeout

@@ -109,9 +109,8 @@ func thresholdSat(ctx context.Context, exact, approx *circuit.Circuit, t *big.In
 		return false, err
 	}
 	s := counter.New(f, counter.Config{
-		EnableSim:  opt.Method == MethodVACSEM,
-		Alpha:      opt.Alpha,
-		MaxSimVars: opt.MaxSimVars,
+		EnableSim: opt.Method == MethodVACSEM,
+		Alpha:     opt.Alpha,
 	})
-	return s.SatisfiableCtx(ctx)
+	return s.Satisfiable(ctx)
 }

@@ -359,7 +359,7 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 			g.GateOfXor = append(g.GateOfXor, -1)
 		}
 		s := New(&g, solverCfg)
-		c, err := s.CountCtx(ctx)
+		c, err := s.Count(ctx)
 		res.Stats.Add(s.Stats())
 		if err == nil && cfg.Probes != nil {
 			cfg.Probes.Store(pkey, c)

@@ -51,7 +51,7 @@ func TestApproxSparseCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := New(f, Config{}).Count()
+		want, err := New(f, Config{}).Count(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

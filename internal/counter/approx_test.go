@@ -48,7 +48,7 @@ func TestApproxCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := New(f, Config{}).Count()
+		want, err := New(f, Config{}).Count(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestApproxSamplingSetMatchesFullSpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := New(f, Config{}).Count()
+		want, err := New(f, Config{}).Count(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

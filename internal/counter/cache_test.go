@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"strings"
@@ -35,7 +36,7 @@ func TestSharedCacheRenamingInvariance(t *testing.T) {
 
 	shared := NewCache(0, 0)
 	sa := New(fa, Config{Cache: shared, CacheOwner: 1})
-	ca, err := sa.Count()
+	ca, err := sa.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestSharedCacheRenamingInvariance(t *testing.T) {
 	}
 
 	sb := New(fb, Config{Cache: shared, CacheOwner: 2})
-	cb, err := sb.Count()
+	cb, err := sb.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,19 +16,11 @@ package counter
 
 import (
 	"context"
-	"errors"
 	"math/big"
-	"time"
 
 	"vacsem/internal/cnf"
 	"vacsem/internal/obs"
 )
-
-// ErrTimeout is returned by Count and Satisfiable when the configured
-// Config.TimeLimit expires. The context-aware entry points (CountCtx,
-// SatisfiableCtx) report expiry as the context's own error instead
-// (context.DeadlineExceeded / context.Canceled).
-var ErrTimeout = errors.New("counter: time limit exceeded")
 
 // Config tunes the solver. The zero value is usable: it disables the
 // simulation hook and runs the plain DPLL counting engine (the paper's
@@ -78,8 +70,6 @@ type Config struct {
 	// entries stored under a different tag are reported as
 	// Stats.CacheCrossHits (cross-sub-miter reuse).
 	CacheOwner int32
-	// TimeLimit aborts the count after the given duration. 0 = unlimited.
-	TimeLimit time.Duration
 }
 
 func (c *Config) withDefaults() Config {
@@ -270,7 +260,7 @@ type Solver struct {
 	abortErr error
 	ticks    uint32
 
-	// tracing state (see trace.go). tr is captured once per CountCtx so
+	// tracing state (see trace.go). tr is captured once per Count so
 	// the hot loops pay a plain nil check, not an atomic load.
 	tr        *obs.Tracer
 	span      obs.SpanID // parent span from the caller's context
@@ -278,7 +268,7 @@ type Solver struct {
 	cacheTick uint64     // cache-event sampling tick
 	lastEmit  Stats      // stats at the last periodic snapshot delta
 	// live stats flushing (see trace.go). live is captured once per
-	// CountCtx (true when a flight recorder is installed); flushed
+	// Count (true when a flight recorder is installed); flushed
 	// tracks the stats already merged into the registry, so periodic
 	// flushes and the final merge sum exactly to s.stats.
 	live    bool
@@ -371,28 +361,11 @@ func (s *Solver) Stats() Stats { return s.stats }
 // the number of input patterns of the encoded cone that set the output to
 // 1 (the Tseitin encoding extends each satisfying input uniquely).
 //
-// Count is the legacy entry point: expiry of Config.TimeLimit surfaces
-// as ErrTimeout. Context-aware callers should use CountCtx.
-func (s *Solver) Count() (*big.Int, error) {
-	n, err := s.CountCtx(context.Background())
-	return n, legacyErr(err)
-}
-
-// legacyErr maps context-deadline expiry to the historical ErrTimeout
-// for the non-context entry points.
-func legacyErr(err error) error {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return ErrTimeout
-	}
-	return err
-}
-
-// CountCtx is Count with cooperative cancellation: the solver polls
-// ctx.Err() at its decision points (every 1024 abort checks) and returns
-// the context's error — context.Canceled or context.DeadlineExceeded —
-// when the context ends before the count completes. Config.TimeLimit, if
-// set, is layered on top as a context deadline.
-func (s *Solver) CountCtx(ctx context.Context) (*big.Int, error) {
+// The solver polls ctx.Err() at its decision points (every 1024 abort
+// checks) and returns the context's error — context.Canceled or
+// context.DeadlineExceeded — when the context ends before the count
+// completes; a time limit is a deadline on ctx.
+func (s *Solver) Count(ctx context.Context) (*big.Int, error) {
 	s.reset()
 	s.tr = obs.Active()
 	if s.tr != nil {
@@ -400,11 +373,6 @@ func (s *Solver) CountCtx(ctx context.Context) (*big.Int, error) {
 	}
 	s.live = obs.ActiveRecorder() != nil
 	defer s.finishObs()
-	if s.cfg.TimeLimit > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.TimeLimit)
-		defer cancel()
-	}
 	if ctx.Done() != nil {
 		s.ctx = ctx
 	}

@@ -39,7 +39,7 @@ func TestCountCtxCancelMidSearch(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	n, err := s.CountCtx(ctx)
+	n, err := s.Count(ctx)
 	if err == nil {
 		t.Skipf("instance solved in %v before the cancel landed (count %v)", time.Since(start), n)
 	}
@@ -56,20 +56,9 @@ func TestCountCtxDeadline(t *testing.T) {
 	s := New(f, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err := s.CountCtx(ctx)
+	_, err := s.Count(ctx)
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestCountLegacyTimeLimitMapsToErrTimeout pins the non-context entry
-// point's contract: Config.TimeLimit expiry is ErrTimeout, not a
-// context error.
-func TestCountLegacyTimeLimitMapsToErrTimeout(t *testing.T) {
-	f := hardFormula(t)
-	s := New(f, Config{TimeLimit: time.Nanosecond})
-	if _, err := s.Count(); err != nil && err != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }
 
@@ -78,7 +67,7 @@ func TestSatisfiableCtxCancel(t *testing.T) {
 	s := New(f, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.SatisfiableCtx(ctx)
+	_, err := s.Satisfiable(ctx)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled or instant answer", err)
 	}
@@ -100,7 +89,7 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-// TestCountCtxAfterCancelReusable ensures a cancelled CountCtx leaves
+// TestCountCtxAfterCancelReusable ensures a cancelled Count leaves
 // the solver reusable: a fresh call with a live context succeeds and
 // matches an untouched solver's count.
 func TestCountCtxAfterCancelReusable(t *testing.T) {
@@ -112,12 +101,12 @@ func TestCountCtxAfterCancelReusable(t *testing.T) {
 	s := New(f, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _ = s.CountCtx(ctx) // may or may not abort before finishing
-	got, err := s.Count()
+	_, _ = s.Count(ctx) // may or may not abort before finishing
+	got, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New(f, Config{}).Count()
+	want, err := New(f, Config{}).Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package counter
 // tautological clauses) are pinned down.
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -90,7 +91,7 @@ func TestDIMACSCountMatchesBrute(t *testing.T) {
 			"sim":     {EnableSim: true}, // must gracefully refuse (no circuit)
 		} {
 			s := New(f, cfg)
-			got, err := s.Count()
+			got, err := s.Count(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,11 +109,11 @@ func TestDIMACSSatisfiableMatchesCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := New(f, Config{})
-		n, err := s.Count()
+		n, err := s.Count(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sat, err := s.Satisfiable()
+		sat, err := s.Satisfiable(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,14 +126,14 @@ func TestDIMACSSatisfiableMatchesCount(t *testing.T) {
 func TestEmptyFormula(t *testing.T) {
 	f := &cnf.Formula{NumVars: 3}
 	s := New(f, Config{})
-	n, err := s.Count()
+	n, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n.Cmp(big.NewInt(8)) != 0 {
 		t.Errorf("empty formula count = %v, want 8", n)
 	}
-	sat, err := s.Satisfiable()
+	sat, err := s.Satisfiable(context.Background())
 	if err != nil || !sat {
 		t.Errorf("empty formula must be satisfiable")
 	}
@@ -144,14 +145,14 @@ func TestEmptyClause(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(f, Config{})
-	n, err := s.Count()
+	n, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n.Sign() != 0 {
 		t.Errorf("empty clause count = %v, want 0", n)
 	}
-	if sat, _ := s.Satisfiable(); sat {
+	if sat, _ := s.Satisfiable(context.Background()); sat {
 		t.Error("empty clause must be unsatisfiable")
 	}
 }
@@ -162,7 +163,7 @@ func TestContradictoryUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(f, Config{})
-	n, err := s.Count()
+	n, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestDuplicateLiteralsInClause(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(f, Config{})
-	n, err := s.Count()
+	n, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestXorChainCNF(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(f, Config{})
-	n, err := s.Count()
+	n, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestQuickRandom3CNF(t *testing.T) {
 			return false
 		}
 		s := New(f, Config{})
-		got, err := s.Count()
+		got, err := s.Count(context.Background())
 		if err != nil {
 			return false
 		}

@@ -6,6 +6,7 @@ package counter
 // for the intended behavioural effect.
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestLearningKeepsCountsExact(t *testing.T) {
 			{EnableSim: true, MinSimGates: 1, Alpha: 50},
 		} {
 			s := New(f, cfg)
-			got, err := s.Count()
+			got, err := s.Count(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +66,7 @@ func TestLearningActuallyLearns(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(f, Config{})
-	n, err := s.Count()
+	n, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +85,12 @@ func TestLearnedClausesSurviveRecount(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(f, Config{})
-	a, err := s.Count()
+	a, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	firstLearned := s.learned
-	b, err := s.Count()
+	b, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestCacheBoundEviction(t *testing.T) {
 	// The bound is enforced per shard (rounded up), so the effective
 	// global ceiling is at most one entry per shard here.
 	s := New(f, Config{MaxCacheEntries: 4})
-	got, err := s.Count()
+	got, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +146,14 @@ func TestMinSimGatesGatesTheController(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(f, Config{EnableSim: true, Alpha: 1000, MinSimGates: 50})
-	if _, err := s.Count(); err != nil {
+	if _, err := s.Count(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Stats().SimCalls != 0 {
 		t.Errorf("simulation fired below MinSimGates: %+v", s.Stats())
 	}
 	s2 := New(f, Config{EnableSim: true, Alpha: 1000, MinSimGates: 1, DisableIBCP: true, DisableLearning: true})
-	if _, err := s2.Count(); err != nil {
+	if _, err := s2.Count(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s2.Stats().SimCalls == 0 {
@@ -174,7 +175,7 @@ func TestSatisfiableWithAllFeatureCombos(t *testing.T) {
 			{EnableSim: true, MinSimGates: 1, Alpha: 20},
 		} {
 			s := New(f, cfg)
-			got, err := s.Satisfiable()
+			got, err := s.Satisfiable(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

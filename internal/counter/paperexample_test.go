@@ -15,6 +15,7 @@ package counter
 // gates n15..n18 has the six inputs i5..i10.)
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -65,7 +66,7 @@ func countOutput(t *testing.T, c *circuit.Circuit, root int, cfg Config) *big.In
 		t.Fatal(err)
 	}
 	s := New(f, cfg)
-	n, err := s.Count()
+	n, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestFig2SATn19(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(f, Config{EnableSim: true, Alpha: 16, MinSimGates: 1})
-	n, err := s.Count()
+	n, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestFig2SATn19(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := New(fn, Config{})
-	n2, err := sn.Count()
+	n2, err := sn.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

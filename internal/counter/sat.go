@@ -15,22 +15,9 @@ var bigZero = big.NewInt(0)
 
 // Satisfiable reports whether the formula has any satisfying
 // assignment. It resets solver state, so it can be interleaved with
-// Count calls on the same solver. Like Count, it maps Config.TimeLimit
-// expiry to ErrTimeout; SatisfiableCtx is the context-aware form.
-func (s *Solver) Satisfiable() (bool, error) {
-	sat, err := s.SatisfiableCtx(context.Background())
-	return sat, legacyErr(err)
-}
-
-// SatisfiableCtx is Satisfiable with cooperative cancellation (see
-// CountCtx for the polling contract).
-func (s *Solver) SatisfiableCtx(ctx context.Context) (bool, error) {
+// Count calls on the same solver, and honours ctx as Count does.
+func (s *Solver) Satisfiable(ctx context.Context) (bool, error) {
 	s.reset()
-	if s.cfg.TimeLimit > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.TimeLimit)
-		defer cancel()
-	}
 	if ctx.Done() != nil {
 		s.ctx = ctx
 	}

@@ -54,7 +54,7 @@ func MinimizeSupport(f *cnf.Formula, sampling []int32) []int32 {
 	}
 	s := New(f, Config{DisableCache: true, DisableIBCP: true, DisableLearning: true})
 	s.reset()
-	// Level-0 propagation, mirroring CountCtx's setup: unit clauses and
+	// Level-0 propagation, mirroring Count's setup: unit clauses and
 	// unit XOR rows to fixpoint.
 	for ci, cl := range s.clauses {
 		switch len(cl) {

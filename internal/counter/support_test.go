@@ -67,7 +67,7 @@ func TestMinimizeSupportPreservesEstimates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := New(f, Config{}).Count()
+		want, err := New(f, Config{}).Count(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

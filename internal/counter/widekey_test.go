@@ -8,6 +8,7 @@ package counter
 // a cache hit could return the count of a different residual formula.
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestCountWideClausesVsBrute(t *testing.T) {
 			f := &cnf.Formula{NumVars: tc.nVars, Clauses: tc.clauses}
 			want := new(big.Int).SetUint64(bruteCNF(f))
 			for _, cfg := range []Config{{}, {DisableIBCP: true, DisableLearning: true}} {
-				got, err := New(f, cfg).Count()
+				got, err := New(f, cfg).Count(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -36,12 +37,12 @@ func TestNativeMatchesBlasted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := New(fb, Config{}).Count()
+		want, err := New(fb, Config{}).Count(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for ci, cfg := range configs {
-			got, err := New(fn, cfg).Count()
+			got, err := New(fn, cfg).Count(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +78,7 @@ func TestPureParityClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(f, Config{})
-	got, err := s.Count()
+	got, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestXorBCPForcing(t *testing.T) {
 			t.Fatalf("case %d: test vector wrong, brute = %d want %d", i, b, tc.want)
 		}
 		s := New(f, Config{})
-		got, err := s.Count()
+		got, err := s.Count(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,14 +175,14 @@ func TestRandomCNFXorAgainstBrute(t *testing.T) {
 			{DisableCache: true},
 		} {
 			s := New(f, cfg)
-			got, err := s.Count()
+			got, err := s.Count(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Cmp(want) != 0 {
 				t.Fatalf("seed %d cfg %d: count = %v, brute = %v\n%s", seed, ci, got, want, b.String())
 			}
-			sat, err := s.Satisfiable()
+			sat, err := s.Satisfiable(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,12 +208,12 @@ func TestCacheKeySeparatesXorRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := New(plain, Config{Cache: cache, CacheOwner: 1})
-	got1, err := s1.Count()
+	got1, err := s1.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := New(mixed, Config{Cache: cache, CacheOwner: 2})
-	got2, err := s2.Count()
+	got2, err := s2.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +227,11 @@ func TestCacheKeySeparatesXorRows(t *testing.T) {
 	}
 	// Mirror order: a fresh shared cache, mixed first.
 	cache2 := NewCache(1024, 0)
-	got3, err := New(mixed, Config{Cache: cache2, CacheOwner: 1}).Count()
+	got3, err := New(mixed, Config{Cache: cache2, CacheOwner: 1}).Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got4, err := New(plain, Config{Cache: cache2, CacheOwner: 2}).Count()
+	got4, err := New(plain, Config{Cache: cache2, CacheOwner: 2}).Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestXorStatsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(f, Config{})
-	if _, err := s.Count(); err != nil {
+	if _, err := s.Count(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Stats().XorPropagations == 0 {

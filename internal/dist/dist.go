@@ -114,19 +114,10 @@ func ltConst(c *circuit.Circuit, bits []int, k uint64) int {
 	return lt
 }
 
-// VerifyERBiased verifies the error rate when input i is 1 with
-// probability biases[i] (independent inputs, dyadic probabilities).
-func VerifyERBiased(exact, approx *circuit.Circuit, biases []Bias, opt core.Options) (*core.Result, error) {
-	return biased("ER(biased)", core.MetricSpec{Kind: core.MetricER}, exact, approx, biases, opt)
-}
-
-// VerifyMEDBiased verifies the mean error distance under biased inputs.
-func VerifyMEDBiased(exact, approx *circuit.Circuit, biases []Bias, opt core.Options) (*core.Result, error) {
-	return biased("MED(biased)", core.MetricSpec{Kind: core.MetricMED}, exact, approx, biases, opt)
-}
-
-// biased verifies spec on the bias-expanded circuit pair.
-func biased(name string, spec core.MetricSpec, exact, approx *circuit.Circuit, biases []Bias, opt core.Options) (*core.Result, error) {
+// VerifyBiased verifies spec when input i is 1 with probability
+// biases[i] (independent inputs, dyadic probabilities): a uniform
+// verification of the bias-expanded circuit pair.
+func VerifyBiased(ctx context.Context, exact, approx *circuit.Circuit, spec core.MetricSpec, biases []Bias, opt core.Options) (*core.Result, error) {
 	be, err := ApplyBias(exact, biases)
 	if err != nil {
 		return nil, err
@@ -135,11 +126,11 @@ func biased(name string, spec core.MetricSpec, exact, approx *circuit.Circuit, b
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.Verify(context.Background(), be, ba, spec, opt)
+	r, err := core.Verify(ctx, be, ba, spec, opt)
 	if err != nil {
 		return nil, err
 	}
-	r.Metric = name
+	r.Metric = spec.MetricName() + "(biased)"
 	return r, nil
 }
 
@@ -147,16 +138,16 @@ func biased(name string, spec core.MetricSpec, exact, approx *circuit.Circuit, b
 // which cond (a single-output circuit over the same inputs) is 1:
 // ER | cond = #SAT(er-miter ∧ cond) / #SAT(cond). It returns an error
 // when the condition is unsatisfiable.
-func VerifyERConditional(exact, approx, cond *circuit.Circuit, opt core.Options) (*core.Result, error) {
+func VerifyERConditional(ctx context.Context, exact, approx, cond *circuit.Circuit, opt core.Options) (*core.Result, error) {
 	m, err := miter.ER(exact, approx)
 	if err != nil {
 		return nil, err
 	}
-	return conditional("ER|cond", m, []*big.Int{big.NewInt(1)}, cond, opt)
+	return conditional(ctx, "ER|cond", m, []*big.Int{big.NewInt(1)}, cond, opt)
 }
 
 // VerifyMEDConditional verifies MED restricted to patterns with cond=1.
-func VerifyMEDConditional(exact, approx, cond *circuit.Circuit, opt core.Options) (*core.Result, error) {
+func VerifyMEDConditional(ctx context.Context, exact, approx, cond *circuit.Circuit, opt core.Options) (*core.Result, error) {
 	m, err := miter.MED(exact, approx)
 	if err != nil {
 		return nil, err
@@ -165,11 +156,11 @@ func VerifyMEDConditional(exact, approx, cond *circuit.Circuit, opt core.Options
 	for j := range w {
 		w[j] = new(big.Int).Lsh(big.NewInt(1), uint(j))
 	}
-	return conditional("MED|cond", m, w, cond, opt)
+	return conditional(ctx, "MED|cond", m, w, cond, opt)
 }
 
 // conditional computes sum_j w_j*#SAT(f_j & cond) / #SAT(cond).
-func conditional(name string, m *circuit.Circuit, weights []*big.Int, cond *circuit.Circuit, opt core.Options) (*core.Result, error) {
+func conditional(ctx context.Context, name string, m *circuit.Circuit, weights []*big.Int, cond *circuit.Circuit, opt core.Options) (*core.Result, error) {
 	if cond.NumInputs() != m.NumInputs() {
 		return nil, fmt.Errorf("dist: condition has %d inputs, circuits have %d",
 			cond.NumInputs(), m.NumInputs())
@@ -188,7 +179,7 @@ func conditional(name string, m *circuit.Circuit, weights []*big.Int, cond *circ
 	for j, o := range mouts {
 		cm.AddOutput(cm.AddGate(circuit.And, o, couts[0]), m.OutputName(j))
 	}
-	num, err := core.VerifyMiter(context.Background(), name, cm, weights, opt)
+	num, err := core.VerifyMiter(ctx, name, cm, weights, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +191,7 @@ func conditional(name string, m *circuit.Circuit, weights []*big.Int, cond *circ
 	}
 	condOuts := circuit.Append(condM, cond, ins2)
 	condM.AddOutput(condOuts[0], "cond")
-	den, err := core.VerifyMiter(context.Background(), "cond", condM, []*big.Int{big.NewInt(1)}, opt)
+	den, err := core.VerifyMiter(ctx, "cond", condM, []*big.Int{big.NewInt(1)}, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -209,5 +200,15 @@ func conditional(name string, m *circuit.Circuit, weights []*big.Int, cond *circ
 	}
 	num.Metric = name
 	num.Value = new(big.Rat).Quo(num.Value, den.Value)
+	if num.Approx || den.Approx {
+		// num ∈ [N/(1+ε_n), N(1+ε_n)] and den ∈ [D/(1+ε_d), D(1+ε_d)],
+		// so the ratio is within a (1+ε_n)(1+ε_d) factor of N/D whenever
+		// both land in their bands: union bound over the two failures.
+		num.Approx = true
+		num.Epsilon = (1+num.Epsilon)*(1+den.Epsilon) - 1
+		num.Delta = min(num.Delta+den.Delta, 1)
+		num.Confidence = 1 - num.Delta
+		num.BestEffort = num.BestEffort || den.BestEffort
+	}
 	return num, nil
 }

@@ -2,12 +2,14 @@ package dist
 
 import (
 	"context"
+	"math"
 	"math/big"
 	"testing"
 
 	"vacsem/internal/als"
 	"vacsem/internal/circuit"
 	"vacsem/internal/core"
+	"vacsem/internal/counter"
 	"vacsem/internal/gen"
 )
 
@@ -92,7 +94,7 @@ func TestBiasedERMatchesDirectComputation(t *testing.T) {
 	biases := []Bias{{Num: 3, Bits: 2}, {Num: 1, Bits: 3}} // 3/4 and 1/8
 	want := new(big.Rat).Mul(big.NewRat(3, 4), big.NewRat(1, 8))
 	for _, m := range []core.Method{core.MethodVACSEM, core.MethodDPLL, core.MethodEnum} {
-		r, err := VerifyERBiased(exact, approx, biases, core.Options{Method: m})
+		r, err := VerifyBiased(context.Background(), exact, approx, core.MetricSpec{Kind: core.MetricER}, biases, core.Options{Method: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -110,7 +112,7 @@ func TestBiasedMED(t *testing.T) {
 	approx := circuit.New("zero")
 	approx.AddInput("a")
 	approx.AddOutput(0, "y")
-	r, err := VerifyMEDBiased(exact, approx, []Bias{{Num: 5, Bits: 3}}, core.Options{})
+	r, err := VerifyBiased(context.Background(), exact, approx, core.MetricSpec{Kind: core.MetricMED}, []Bias{{Num: 5, Bits: 3}}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestConditionalER(t *testing.T) {
 	if uncond.Value.Sign() == 0 {
 		t.Fatal("unconditional ER unexpectedly 0")
 	}
-	r, err := VerifyERConditional(exact, approx, cond, core.Options{})
+	r, err := VerifyERConditional(context.Background(), exact, approx, cond, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,7 @@ func TestConditionalMEDMatchesBrute(t *testing.T) {
 	}
 	want := new(big.Rat).SetFrac64(sum, cnt)
 
-	r, err := VerifyMEDConditional(exact, approx, cond, core.Options{})
+	r, err := VerifyMEDConditional(context.Background(), exact, approx, cond, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func TestConditionalUnsatisfiable(t *testing.T) {
 		cond.AddInput("")
 	}
 	cond.AddOutput(0, "c") // const0
-	if _, err := VerifyERConditional(exact, approx, cond, core.Options{}); err == nil {
+	if _, err := VerifyERConditional(context.Background(), exact, approx, cond, core.Options{}); err == nil {
 		t.Error("unsatisfiable condition accepted")
 	}
 }
@@ -235,7 +237,7 @@ func TestConditionalInterfaceChecks(t *testing.T) {
 	cond := circuit.New("short")
 	cond.AddInput("")
 	cond.AddOutput(0, "c")
-	if _, err := VerifyERConditional(exact, approx, cond, core.Options{}); err == nil {
+	if _, err := VerifyERConditional(context.Background(), exact, approx, cond, core.Options{}); err == nil {
 		t.Error("input-count mismatch accepted")
 	}
 	cond2 := circuit.New("multi")
@@ -244,7 +246,62 @@ func TestConditionalInterfaceChecks(t *testing.T) {
 	}
 	cond2.AddOutput(0, "a")
 	cond2.AddOutput(0, "b")
-	if _, err := VerifyERConditional(exact, approx, cond2, core.Options{}); err == nil {
+	if _, err := VerifyERConditional(context.Background(), exact, approx, cond2, core.Options{}); err == nil {
 		t.Error("multi-output condition accepted")
+	}
+}
+
+// TestConditionalApproxBand pins the (ε, δ) guarantee of a conditional
+// metric on the approx backend. The value is a ratio of two separately
+// estimated counts, so when both are approximate the band is the
+// product of the two factors and the failure probability the union of
+// the two: (1+ε)^2-1 and 2δ at the defaults. A denominator counted
+// exactly leaves the numerator's band as it is.
+func TestConditionalApproxBand(t *testing.T) {
+	n := 12
+	exact := gen.RippleCarryAdder(n)
+	approx := als.LowerORAdder(n, 4)
+	// noCarry (the exact sum fits in n bits) has too many models to
+	// count exactly under hashing; topBit (a11 ∨ b11) has 3 models over
+	// a 2-input support, which the approx backend counts exactly.
+	noCarry := circuit.New("nocarry")
+	ins := make([]int, 2*n)
+	for i := range ins {
+		ins[i] = noCarry.AddInput("")
+	}
+	sum := circuit.Append(noCarry, exact, ins)
+	noCarry.AddOutput(noCarry.AddGate(circuit.Not, sum[n]), "c")
+	topBit := circuit.New("topbit")
+	for i := range ins {
+		ins[i] = topBit.AddInput("")
+	}
+	topBit.AddOutput(topBit.AddGate(circuit.Or, ins[n-1], ins[2*n-1]), "c")
+
+	eps, delta := counter.DefaultEpsilon, counter.DefaultDelta
+	for _, tc := range []struct {
+		cond             *circuit.Circuit
+		wantEps, wantDel float64
+	}{
+		{noCarry, (1+eps)*(1+eps) - 1, 2 * delta},
+		{topBit, eps, delta},
+	} {
+		ctx := context.Background()
+		r, err := VerifyERConditional(ctx, exact, approx, tc.cond, core.Options{Method: core.MethodApprox, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Approx || math.Abs(r.Epsilon-tc.wantEps) > 1e-9 || math.Abs(r.Delta-tc.wantDel) > 1e-9 ||
+			math.Abs(r.Confidence-(1-tc.wantDel)) > 1e-9 {
+			t.Errorf("%s: approx=%v ε=%v δ=%v confidence=%v, want ε=%v δ=%v confidence=%v",
+				tc.cond.Name, r.Approx, r.Epsilon, r.Delta, r.Confidence, tc.wantEps, tc.wantDel, 1-tc.wantDel)
+		}
+		ex, err := VerifyERConditional(ctx, exact, approx, tc.cond, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := r.Float(), ex.Float()
+		if got < want/(1+r.Epsilon) || got > want*(1+r.Epsilon) {
+			t.Errorf("%s: estimate %v outside the reported band around %v", tc.cond.Name, got, want)
+		}
 	}
 }

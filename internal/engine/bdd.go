@@ -46,9 +46,7 @@ func (bddBackend) Count(ctx context.Context, req *Request, todo []int, emit *Emi
 		}
 		targets = append(targets, o)
 	}
-	mgr.SetContext(ctx) // bdd_growth events parent to the backend span
-	refs, err := mgr.BuildNodesOrdered(work, bdd.DFSOrder(work), targets)
-	mgr.SetContext(nil)
+	refs, err := mgr.Build(ctx, work, bdd.DFSOrder(work), targets)
 	if err != nil {
 		return err
 	}

@@ -42,7 +42,6 @@ func (b *countingBackend) Count(ctx context.Context, req *Request, todo []int, e
 	// lifetime, so residual components transfer across sessions too.
 	var cache *counter.Cache
 	switch {
-	case req.Config.DisableCache:
 	case req.Config.Store != nil:
 		cache = req.Config.Store.Components()
 	case req.Config.SharedCache:
@@ -71,22 +70,17 @@ func (b *countingBackend) count(ctx context.Context, req *Request, j int, cache 
 		return res, err
 	}
 	solverCfg := counter.Config{
-		EnableSim:       b.enableSim,
-		Alpha:           req.Config.Alpha,
-		MaxSimVars:      req.Config.MaxSimVars,
-		MinSimGates:     req.Config.MinSimGates,
-		DisableCache:    req.Config.DisableCache,
-		DisableIBCP:     req.Config.DisableIBCP,
-		DisableLearning: req.Config.DisableLearning,
-		Cache:           cache,
-		CacheOwner:      int32(j) + 1,
+		EnableSim:  b.enableSim,
+		Alpha:      req.Config.Alpha,
+		Cache:      cache,
+		CacheOwner: int32(j) + 1,
 	}
 	var cnt *big.Int
 	if b.approx {
 		cnt, err = b.approxTask(ctx, req, f, solverCfg, probes, &res)
 	} else {
 		s := counter.New(f, solverCfg)
-		cnt, err = s.CountCtx(ctx)
+		cnt, err = s.Count(ctx)
 		res.Stats = s.Stats()
 	}
 	if err != nil {

@@ -40,7 +40,10 @@ var ErrTooLarge = errors.New("engine: input space too large for enumeration")
 
 // Config carries the method-independent tuning knobs of a verification
 // run. It mirrors core.Options minus the method selection (which picks
-// the backend) and the time limit (which arrives as a context deadline).
+// the backend), the time limit (which arrives as a context deadline)
+// and the progress callback. The counter's search knobs (simulation
+// caps, cache and search-engine ablations) are not mirrored: they live
+// on counter.Config alone.
 type Config struct {
 	// NoSynth skips the synthesis (compress) step in backends that
 	// synthesize their own working copy (the bdd backend); the plan
@@ -48,19 +51,11 @@ type Config struct {
 	NoSynth bool
 	// Alpha overrides the density-score scaling factor (default 2).
 	Alpha float64
-	// MaxSimVars overrides the simulation input cap (default 26).
-	MaxSimVars int
-	// MinSimGates overrides the minimum sub-circuit size the controller
-	// hands to the simulator (default 24).
-	MinSimGates int
-	// DisableCache turns off component caching (ablation).
-	DisableCache bool
 	// SharedCache shares one component-count cache across all task
 	// solvers of a session (the tasks of one session share both circuit
 	// copies plus the subtractor, so residual components recur across
 	// tasks — and across metrics). Counts are bit-identical either way;
-	// sharing only trades memory for cross-task hits. Ignored when
-	// DisableCache is set.
+	// sharing only trades memory for cross-task hits.
 	SharedCache bool
 	// Store, when non-nil, is a cross-request result store shared across
 	// sessions (and typically across the whole process — vacsem-serve
@@ -74,12 +69,8 @@ type Config struct {
 	// the solver would have computed — exact results are bit-identical
 	// with or without the store; approximate results are served only
 	// under a guarantee at least as tight as requested (see
-	// store.Req). Ignored when DisableCache is set.
+	// store.Req).
 	Store *store.Store
-	// DisableIBCP turns off failed-literal probing (ablation).
-	DisableIBCP bool
-	// DisableLearning turns off conflict-driven clause learning (ablation).
-	DisableLearning bool
 	// BDDNodeLimit caps the decision-diagram size for the bdd backend
 	// (default 1<<22 nodes).
 	BDDNodeLimit int

@@ -148,14 +148,12 @@ func (e *Emitter) triage(j int, want store.Req) (TaskResult, bool) {
 }
 
 // storeFor returns the store whose cone tier may hold task t: nil without
-// a store, with caching disabled, or for a task the plan layer did not
-// key.
+// a store or for a task the plan layer did not key.
 func (e *Emitter) storeFor(t *CountTask) *store.Store {
-	cfg := &e.req.Config
-	if cfg.DisableCache || t.Key == "" || t.KeyInputs < 0 || t.KeyInputs > e.req.Miter.NumInputs() {
+	if t.Key == "" || t.KeyInputs < 0 || t.KeyInputs > e.req.Miter.NumInputs() {
 		return nil
 	}
-	return cfg.Store
+	return e.req.Config.Store
 }
 
 // storeGuarantee is the resolved guarantee be's counts carry: exact for

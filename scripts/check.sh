@@ -98,6 +98,14 @@ echo "==> serve smoke (HTTP service: cold/warm dedup, /metrics, snapshot on SIGT
 echo "==> traced quickstart (JSONL trace parses and is self-consistent)"
 go run ./examples/traced_verify >/dev/null
 
+echo "==> examples (every other example runs to completion)"
+# Outside the tests these are the only callers of the root API; each
+# takes a few seconds at most, so the timeout only catches a hang.
+for ex in quickstart biased_inputs custom_metric multiplier_med adder_sweep; do
+	echo "    examples/$ex"
+	timeout 120 go run "./examples/$ex" >/dev/null
+done
+
 echo "==> bench count gate (vacsem-bench -diff vs committed baseline)"
 # Re-run the baseline's table with its exact parameters and diff against
 # the committed BENCH_*.json. -diff exits 1 when an exact count or approx

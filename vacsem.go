@@ -106,7 +106,8 @@ const (
 	MetricThresholdProb = core.MetricThresholdProb
 )
 
-// MetricSpec requests one metric in a VerifyMetrics session.
+// MetricSpec requests one metric from Verify, VerifyMetrics or
+// VerifyBiased.
 type MetricSpec = core.MetricSpec
 
 // MetricSpecByName parses a metric name ("er", "med", "mhd", "thr") into
@@ -120,19 +121,32 @@ func MetricSpecByName(name string, threshold *big.Int) (MetricSpec, error) {
 // miter size around its single synthesis pass, aggregate solver stats).
 type SessionResult = core.SessionResult
 
+// Every Verify* function takes a context first: it reaches the solver's
+// inner loops, so cancelling it aborts the verification within one poll
+// interval with the context's own error.
+
 // VerifyMetrics verifies several metrics of one circuit pair in a single
 // session: the shared base miter is built and synthesized once, every
 // metric's deviation bits compile to counting tasks, structurally
 // identical tasks are deduplicated across metrics, and one backend run
 // solves the rest with a shared component cache. Each Result is
-// bit-identical to the corresponding standalone Verify* call.
+// bit-identical to the corresponding standalone Verify call.
 func VerifyMetrics(ctx context.Context, exact, approx *Circuit, specs []MetricSpec, opt Options) (*SessionResult, error) {
 	return core.VerifyMetrics(ctx, exact, approx, specs, opt)
 }
 
+// Verify verifies one metric of approx against exact: MetricER is the
+// error rate, MetricMED the mean error distance (outputs read as
+// unsigned binary numbers, least-significant bit first), MetricMHD the
+// mean Hamming distance and MetricThresholdProb P(|int(y) - int(y')| > t)
+// with t in spec.Threshold.
+func Verify(ctx context.Context, exact, approx *Circuit, spec MetricSpec, opt Options) (*Result, error) {
+	return core.Verify(ctx, exact, approx, spec, opt)
+}
+
 // ErrTimeout is returned when Options.TimeLimit expires. Cancellation
-// through a caller-supplied context (VerifyMetrics and the *Context
-// functions) is reported as the context's own error instead.
+// through the caller's context is reported as the context's own error
+// instead.
 var ErrTimeout = core.ErrTimeout
 
 // ErrTooLarge is returned by MethodEnum beyond 62 inputs.
@@ -147,72 +161,14 @@ type WCEResult = core.WCEResult
 
 // VerifyWCE computes the exact worst-case error max|int(y)-int(y')| by
 // binary search over threshold miters with early-exit SAT queries.
-func VerifyWCE(exact, approx *Circuit, opt Options) (*WCEResult, error) {
-	return core.VerifyWCE(context.Background(), exact, approx, opt)
-}
-
-// VerifyWCEContext is VerifyWCE with cooperative cancellation.
-func VerifyWCEContext(ctx context.Context, exact, approx *Circuit, opt Options) (*WCEResult, error) {
+func VerifyWCE(ctx context.Context, exact, approx *Circuit, opt Options) (*WCEResult, error) {
 	return core.VerifyWCE(ctx, exact, approx, opt)
-}
-
-// VerifyER verifies the error rate of approx against exact.
-func VerifyER(exact, approx *Circuit, opt Options) (*Result, error) {
-	return VerifyERContext(context.Background(), exact, approx, opt)
-}
-
-// VerifyERContext is VerifyER with cooperative cancellation: the
-// context reaches the solver's inner loops, so cancelling it aborts the
-// verification within one poll interval.
-func VerifyERContext(ctx context.Context, exact, approx *Circuit, opt Options) (*Result, error) {
-	return core.Verify(ctx, exact, approx, MetricSpec{Kind: MetricER}, opt)
-}
-
-// VerifyMED verifies the mean error distance (outputs read as unsigned
-// binary numbers, least-significant bit first).
-func VerifyMED(exact, approx *Circuit, opt Options) (*Result, error) {
-	return VerifyMEDContext(context.Background(), exact, approx, opt)
-}
-
-// VerifyMEDContext is VerifyMED with cooperative cancellation.
-func VerifyMEDContext(ctx context.Context, exact, approx *Circuit, opt Options) (*Result, error) {
-	return core.Verify(ctx, exact, approx, MetricSpec{Kind: MetricMED}, opt)
-}
-
-// VerifyMHD verifies the mean Hamming distance.
-func VerifyMHD(exact, approx *Circuit, opt Options) (*Result, error) {
-	return VerifyMHDContext(context.Background(), exact, approx, opt)
-}
-
-// VerifyMHDContext is VerifyMHD with cooperative cancellation.
-func VerifyMHDContext(ctx context.Context, exact, approx *Circuit, opt Options) (*Result, error) {
-	return core.Verify(ctx, exact, approx, MetricSpec{Kind: MetricMHD}, opt)
-}
-
-// VerifyThresholdProb verifies P(|int(y) - int(y')| > t).
-func VerifyThresholdProb(exact, approx *Circuit, t *big.Int, opt Options) (*Result, error) {
-	return VerifyThresholdProbContext(context.Background(), exact, approx, t, opt)
-}
-
-// VerifyThresholdProbContext is VerifyThresholdProb with cooperative
-// cancellation. t is copied, so the caller may reuse it at once.
-func VerifyThresholdProbContext(ctx context.Context, exact, approx *Circuit, t *big.Int, opt Options) (*Result, error) {
-	var tc *big.Int
-	if t != nil {
-		tc = new(big.Int).Set(t)
-	}
-	return core.Verify(ctx, exact, approx, MetricSpec{Kind: MetricThresholdProb, Threshold: tc}, opt)
 }
 
 // VerifyMiter verifies a user-supplied deviation miter with per-output
 // weights: the metric value is sum_j weight_j * P(output_j = 1). This is
 // the extension point for custom average-error metrics.
-func VerifyMiter(name string, m *Circuit, weights []*big.Int, opt Options) (*Result, error) {
-	return core.VerifyMiter(context.Background(), name, m, weights, opt)
-}
-
-// VerifyMiterContext is VerifyMiter with cooperative cancellation.
-func VerifyMiterContext(ctx context.Context, name string, m *Circuit, weights []*big.Int, opt Options) (*Result, error) {
+func VerifyMiter(ctx context.Context, name string, m *Circuit, weights []*big.Int, opt Options) (*Result, error) {
 	return core.VerifyMiter(ctx, name, m, weights, opt)
 }
 
@@ -280,26 +236,23 @@ type Bias = dist.Bias
 // UniformBias is the default 1/2 input probability.
 func UniformBias() Bias { return dist.Uniform() }
 
-// VerifyERBiased verifies ER when input i is 1 with probability
+// VerifyBiased verifies spec when input i is 1 with probability
 // biases[i] (independent inputs with dyadic probabilities).
-func VerifyERBiased(exact, approx *Circuit, biases []Bias, opt Options) (*Result, error) {
-	return dist.VerifyERBiased(exact, approx, biases, opt)
-}
-
-// VerifyMEDBiased verifies MED under biased inputs.
-func VerifyMEDBiased(exact, approx *Circuit, biases []Bias, opt Options) (*Result, error) {
-	return dist.VerifyMEDBiased(exact, approx, biases, opt)
+func VerifyBiased(ctx context.Context, exact, approx *Circuit, spec MetricSpec, biases []Bias, opt Options) (*Result, error) {
+	return dist.VerifyBiased(ctx, exact, approx, spec, biases, opt)
 }
 
 // VerifyERConditional verifies ER restricted to input patterns on which
-// the single-output condition circuit evaluates to 1.
-func VerifyERConditional(exact, approx, cond *Circuit, opt Options) (*Result, error) {
-	return dist.VerifyERConditional(exact, approx, cond, opt)
+// the single-output condition circuit evaluates to 1. On MethodApprox
+// the value is a ratio of two estimates, and Result.Epsilon/Delta
+// describe the ratio's band.
+func VerifyERConditional(ctx context.Context, exact, approx, cond *Circuit, opt Options) (*Result, error) {
+	return dist.VerifyERConditional(ctx, exact, approx, cond, opt)
 }
 
 // VerifyMEDConditional verifies MED restricted to patterns with cond=1.
-func VerifyMEDConditional(exact, approx, cond *Circuit, opt Options) (*Result, error) {
-	return dist.VerifyMEDConditional(exact, approx, cond, opt)
+func VerifyMEDConditional(ctx context.Context, exact, approx, cond *Circuit, opt Options) (*Result, error) {
+	return dist.VerifyMEDConditional(ctx, exact, approx, cond, opt)
 }
 
 // File formats.
