@@ -198,7 +198,9 @@ type Options struct {
 	// BDDReorder enables dynamic variable reordering (window sifting)
 	// during MethodBDD's diagram builds.
 	BDDReorder bool
-	// Workers bounds the number of tasks solved concurrently.
+	// Workers bounds the number of tasks solved concurrently, and the
+	// goroutines of MethodVACSEM's session sweep (the tasks its
+	// controller simulates whole, counted in one pass per input support).
 	// 0 means runtime.GOMAXPROCS(0); 1 forces sequential solving.
 	// Results are deterministic regardless of the worker count.
 	Workers int

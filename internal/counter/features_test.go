@@ -185,3 +185,33 @@ func TestSatisfiableWithAllFeatureCombos(t *testing.T) {
 		}
 	}
 }
+
+// TestSimVerdict pins the controller rule: each rejection reason, and
+// the boundaries of the K cap, the gate floor and the density score.
+func TestSimVerdict(t *testing.T) {
+	cases := []struct {
+		name        string
+		cfg         Config
+		gates, k    int
+		reject      string
+		wantDensity float64
+	}{
+		{"k at the cap", Config{}, 339, 26, "", 2 * 339.0 / (26 * 26)},
+		{"k over the cap", Config{}, 10000, 27, "too_many_inputs", 0},
+		{"raised cap", Config{MaxSimVars: 30}, 10000, 27, "", 2 * 10000.0 / (27 * 27)},
+		{"kernel limit", Config{MaxSimVars: 100}, 1 << 20, 63, "too_many_inputs", 0},
+		{"gates at the floor", Config{}, 24, 4, "", 3},
+		{"gates under the floor", Config{}, 23, 4, "few_gates", 0},
+		{"density exactly 1", Config{}, 32, 8, "low_density", 1},
+		{"density just over 1", Config{}, 33, 8, "", 2 * 33.0 / 64},
+		{"alpha scales the score", Config{Alpha: 4}, 32, 8, "", 2},
+		{"no free inputs", Config{}, 24, 0, "", 0},
+	}
+	for _, c := range cases {
+		reject, density := c.cfg.SimVerdict(c.gates, c.k)
+		if reject != c.reject || density != c.wantDensity {
+			t.Errorf("%s: SimVerdict(%d, %d) = (%q, %v), want (%q, %v)",
+				c.name, c.gates, c.k, reject, density, c.reject, c.wantDensity)
+		}
+	}
+}

@@ -121,22 +121,11 @@ func (s *Solver) trySimulate(comp *component) (*big.Int, bool) {
 		}
 	}
 
-	// 4. Dynamic controller (Section IV-B3): density score
-	// alpha * |gates| / K^2, with a hard cap on K so the 2^K enumeration
-	// stays tractable.
+	// 4. Dynamic controller (Section IV-B3).
 	k := len(freeInputs)
-	if k > s.cfg.MaxSimVars || k > 62 {
-		return s.rejectSim(false, "too_many_inputs", len(gates), k, 0)
-	}
-	if len(gates) < s.cfg.MinSimGates {
-		return s.rejectSim(false, "few_gates", len(gates), k, 0)
-	}
-	density := 0.0
-	if k > 0 {
-		density = s.cfg.Alpha * float64(len(gates)) / float64(k*k)
-		if density <= 1 {
-			return s.rejectSim(false, "low_density", len(gates), k, density)
-		}
+	reject, density := s.cfg.SimVerdict(len(gates), k)
+	if reject != "" {
+		return s.rejectSim(false, reject, len(gates), k, density)
 	}
 
 	// 5. Simulate: compile the component to a fused instruction tape and
@@ -191,4 +180,40 @@ func (s *Solver) trySimulate(comp *component) (*big.Int, bool) {
 		})
 	}
 	return new(big.Int).SetUint64(count), true
+}
+
+// SimVerdict is the dynamic controller of Section IV-B3, the one home
+// of its rule: a sub-circuit of gates gates over k free inputs is
+// simulated when k is within MaxSimVars (and the kernel's 62), gates
+// reaches MinSimGates and the density score Alpha*gates/k^2 exceeds 1,
+// with c's zero fields at their defaults. reject is "" on acceptance,
+// else "too_many_inputs", "few_gates" or "low_density"; density is 0
+// when a cap decided first or k is 0.
+func (c Config) SimVerdict(gates, k int) (reject string, density float64) {
+	cfg := c.withDefaults()
+	if k > cfg.MaxSimVars || k > 62 {
+		return "too_many_inputs", 0
+	}
+	if gates < cfg.MinSimGates {
+		return "few_gates", 0
+	}
+	if k > 0 {
+		density = cfg.Alpha * float64(gates) / float64(k*k)
+		if density <= 1 {
+			return "low_density", density
+		}
+	}
+	return "", density
+}
+
+// SimulatedWhole books a formula that the engine's session sweep
+// counted whole by simulation, outside any Solver, the way trySimulate
+// books an accepted component: one simulation call over 2^k patterns in
+// the registry counters and d in counter.sim_component_seconds. It
+// returns the Stats a Solver reports for such a count.
+func SimulatedWhole(k int, d time.Duration) Stats {
+	st := Stats{SimCalls: 1, SimPatterns: uint64(1) << uint(k)}
+	addStatsToRegistry(st)
+	hSimSeconds.Observe(d.Seconds())
+	return st
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math/big"
 
 	"vacsem/internal/bdd"
 	"vacsem/internal/circuit"
@@ -9,7 +10,7 @@ import (
 )
 
 // bddBackend verifies through decision diagrams: synthesize the session
-// miter, restricted to the outputs of the tasks left to the backend,
+// miter, restricted to the cones of the tasks left to the backend,
 // build one ROBDD per task bit, and count over the diagrams — the
 // prior-art flow of the paper's references [3]-[6]. One manager is
 // shared across every task (and therefore every metric of the session),
@@ -21,7 +22,7 @@ type bddBackend struct{}
 func (bddBackend) Name() string { return "bdd" }
 
 func (bddBackend) Count(ctx context.Context, req *Request, todo []int, emit *Emitter) error {
-	work := outputsOf(req.Miter, todo)
+	work, shift := restrict(req.Miter, todo)
 	if !req.Config.NoSynth {
 		work = synth.Compress(work)
 	}
@@ -52,11 +53,13 @@ func (bddBackend) Count(ctx context.Context, req *Request, todo []int, emit *Emi
 	}
 	for i, j := range todo {
 		f := refs[targetAt[i]]
+		var n *big.Int
 		if pairTask[i] {
-			emit.Emit(j, TaskResult{Count: mgr.CountDifferent(f, refs[targetAt[i]+1])})
+			n = mgr.CountDifferent(f, refs[targetAt[i]+1])
 		} else {
-			emit.Emit(j, TaskResult{Count: mgr.CountOnes(f)})
+			n = mgr.CountOnes(f)
 		}
+		emit.Emit(j, TaskResult{Count: new(big.Int).Lsh(n, shift)})
 	}
 	return nil
 }

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/big"
+	"time"
 
+	"vacsem/internal/circuit"
 	"vacsem/internal/cnf"
 	"vacsem/internal/counter"
 )
@@ -29,8 +32,15 @@ type countingBackend struct {
 func (b *countingBackend) Name() string { return b.name }
 
 // Count solves every task in todo with its own counter on the runner's
-// pool.
+// pool — after the vacsem backend has swept the tasks its controller
+// would simulate whole (simulateWhole).
 func (b *countingBackend) Count(ctx context.Context, req *Request, todo []int, emit *Emitter) error {
+	if b.enableSim && !b.approx {
+		var err error
+		if todo, err = simulateWhole(ctx, req, todo, emit); err != nil || len(todo) == 0 {
+			return err
+		}
+	}
 	// One shared component-count cache for the whole session: the tasks
 	// embed the same two circuit copies and subtractor — across every
 	// requested metric — so canonical residual components recur and a
@@ -60,6 +70,76 @@ func (b *countingBackend) Count(ctx context.Context, req *Request, todo []int, e
 	return emit.forEach(ctx, todo, func(ctx context.Context, j int) (TaskResult, error) {
 		return b.count(ctx, req, j, cache, probes)
 	})
+}
+
+// simulateWhole counts, ahead of the pool, each task in todo whose whole
+// cone the counter's controller accepts (counter.Config.SimVerdict over
+// the gates its sub-miter encodes and the k session inputs its cone
+// reaches), and returns the rest in order. The counter would enumerate
+// such a task's 2^k patterns alone; tasks with the same input support
+// share one multi-output sweep on Config.Workers goroutines instead, so
+// a multiplier's MED bits cost one enumeration, not one each. Each swept
+// task reports the Stats of one simulated component and its equal share
+// of its sweep as Runtime.
+func simulateWhole(ctx context.Context, req *Request, todo []int, emit *Emitter) ([]int, error) {
+	type group struct {
+		k  int   // inputs the group's cones reach
+		js []int // its tasks, ascending
+	}
+	cfg := counter.Config{Alpha: req.Config.Alpha}
+	m := req.Miter
+	var (
+		rest   []int
+		groups []*group              // in first-task order
+		byKey  = map[string]*group{} // by input support
+	)
+	for _, j := range todo {
+		support := m.Support(m.Outputs[j])
+		if sub := req.Tasks[j].Sub; sub == nil || !wholeSimulable(cfg, sub, len(support)) {
+			rest = append(rest, j)
+			continue
+		}
+		key := fmt.Sprint(support)
+		g := byKey[key]
+		if g == nil {
+			g = &group{k: len(support)}
+			byKey[key] = g
+			groups = append(groups, g)
+		}
+		g.js = append(g.js, j)
+	}
+	for _, g := range groups {
+		start := time.Now()
+		counts, err := sweep(ctx, req, g.js, req.Config.Workers)
+		if err != nil {
+			return nil, err
+		}
+		share := time.Since(start) / time.Duration(len(g.js))
+		for i, j := range g.js {
+			emit.emitShare(j, TaskResult{Count: counts[i], Stats: counter.SimulatedWhole(g.k, share)}, share)
+		}
+	}
+	return rest, nil
+}
+
+// wholeSimulable reports whether the controller accepts sub's whole
+// output cone as a sub-circuit over k free inputs. A cone that reaches
+// fewer than k inputs (synthesis removed a dependency) is left to the
+// counter, so no task enumerates more patterns than it would alone.
+func wholeSimulable(cfg counter.Config, sub *circuit.Circuit, k int) bool {
+	mark := sub.ConeMark(sub.Outputs[0])
+	gates, inputs := 0, 0
+	for id, nd := range sub.Nodes {
+		switch {
+		case !mark[id]:
+		case nd.Kind == circuit.Input:
+			inputs++
+		case nd.Kind.IsGate():
+			gates++
+		}
+	}
+	reject, _ := cfg.SimVerdict(gates, k)
+	return reject == "" && inputs == k
 }
 
 // count runs Phase 2 on task j's prepared single-output sub-miter.

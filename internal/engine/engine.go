@@ -79,8 +79,8 @@ type Config struct {
 	BDDReorder bool
 	// Workers bounds the number of tasks the runner's pool solves
 	// concurrently for the backends that count task by task (vacsem,
-	// dpll, approx). 0 means runtime.GOMAXPROCS(0); 1 forces sequential
-	// solving.
+	// dpll, approx), and the goroutines of the vacsem backend's session
+	// sweep. 0 means runtime.GOMAXPROCS(0); 1 forces sequential solving.
 	Workers int
 	// SimWorkers bounds the goroutines the enum backend's compiled
 	// simulation kernel spreads the pattern-block range across. 0 means
@@ -167,7 +167,9 @@ type TaskResult struct {
 	// Runtime is set by Execute: the wall time from the task's start to
 	// its result. A task counted on the runner's pool starts when a
 	// worker picks it up; a task of a backend that counts the whole batch
-	// at once (enum, bdd) starts with the batch.
+	// at once (enum, bdd) starts with the batch; a task the vacsem backend
+	// sweeps with others (simulateWhole) reports its equal share of the
+	// sweep.
 	Runtime time.Duration
 	Stats   counter.Stats
 	Trivial bool // solved by constant propagation alone

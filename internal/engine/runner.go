@@ -108,6 +108,15 @@ func (e *Emitter) Emit(j int, res TaskResult) {
 	e.finish(j, res, nil)
 }
 
+// emitShare reports the result of task j, one of the tasks a shared
+// pass that just ended counted together, with share — its part of the
+// pass's wall time — as its Runtime, so the Runtimes of a pass's tasks
+// sum to the pass.
+func (e *Emitter) emitShare(j int, res TaskResult, share time.Duration) {
+	e.begin(e.ctx, j, time.Now().Add(-share))
+	e.finish(j, res, nil)
+}
+
 // triage resolves task j without the backend when its sub-miter's output
 // is trivial after constant propagation, or when the store holds its
 // cone under a guarantee at least as tight as want. The cone key is an

@@ -21,7 +21,7 @@
 // resolved it), "run" (one metric's assembled value). Point events:
 // "component", "cache", "stats" (periodic counter.Stats snapshot
 // delta), "sim_decision" (the dynamic controller's accept/reject with
-// the density score), "sim_batch" (exhaustive enumeration),
+// the density score), "sim_batch" (one multi-output simulation sweep),
 // "bdd_growth" (node-count doublings).
 package obs
 

@@ -58,17 +58,9 @@ func CountOnesPerOutputWorkers(ctx context.Context, c *circuit.Circuit, workers 
 	if err != nil {
 		return nil, err
 	}
-	dur := time.Since(start)
 	mEnumPatterns.Add(total)
 	mEnumBlocks.Add(blocks)
-	hEnumSeconds.Observe(dur.Seconds())
-	if tr := obs.Active(); tr != nil {
-		tr.Event(obs.SpanFrom(ctx), "sim_batch", obs.Fields{
-			"patterns": total, "blocks": blocks, "gates": c.NumGates(),
-			"outputs": len(c.Outputs), "workers": workers,
-			"sim_us": dur.Microseconds(),
-		})
-	}
+	hEnumSeconds.Observe(time.Since(start).Seconds())
 	return counts, nil
 }
 

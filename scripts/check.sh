@@ -117,4 +117,12 @@ go run ./cmd/vacsem-bench -table 4 -versions 2 -timelimit 10s \
 	-report "$apxdir/bench_new.json" >/dev/null
 go run ./cmd/vacsem-bench -diff "$bench_baseline" "$apxdir/bench_new.json"
 
+echo "==> bench MED count gate (Table V vs committed baseline)"
+# The Table IV baseline has no MED row; this gate covers the MED counts
+# of every backend on adders and multipliers the same way.
+med_baseline=BENCH_20261017T093530.json
+go run ./cmd/vacsem-bench -table 5 -versions 2 -timelimit 10s \
+	-report "$apxdir/bench_med.json" >/dev/null
+go run ./cmd/vacsem-bench -diff "$med_baseline" "$apxdir/bench_med.json"
+
 echo "OK"
