@@ -32,7 +32,7 @@
 // directory, next to the table output; -report FILE overrides it and
 // -report none disables it. -introspect ADDR serves the live
 // introspection endpoints (/metrics, /debug/vacsem/progress,
-// /debug/vacsem/runs, /debug/pprof) while the suite runs.
+// /debug/pprof) while the suite runs.
 //
 // -diff OLD.json NEW.json switches to the count gate: the two reports
 // are compared run-by-run (matched by bench, metric, method and
@@ -87,7 +87,7 @@ func run() (exitCode int) {
 	tracePath := flag.String("trace", "", "write span/event trace (JSON lines) to this file")
 	metricsFmt := flag.String("obs-metrics", "", "print end-of-run metrics to stderr: table or json")
 	pprofAddr := flag.String("pprof", "", "serve live net/http/pprof on this address (e.g. localhost:6060)")
-	introspect := flag.String("introspect", "", "serve the live introspection server on this address: /metrics, /debug/vacsem/progress, /debug/vacsem/runs, /debug/pprof (may equal -pprof to share one listener)")
+	introspect := flag.String("introspect", "", "serve the live introspection server on this address: /metrics, /debug/vacsem/progress, /debug/pprof (may equal -pprof to share one listener)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	diffMode := flag.Bool("diff", false, "compare two bench reports (args: OLD.json NEW.json); exit 1 on a changed count or a lost run")

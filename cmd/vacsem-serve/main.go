@@ -19,7 +19,7 @@
 //	GET  /metrics              Prometheus exposition (includes the
 //	                           store.* and serve.* counters)
 //	GET  /debug/...            live introspection (progress stream,
-//	                           flight recorder, pprof)
+//	                           pprof)
 //
 // -snapshot FILE persists the store across restarts: the file is
 // loaded (if present) at startup and written atomically on graceful
@@ -38,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"vacsem/internal/obs"
 	"vacsem/internal/serve"
 	"vacsem/internal/store"
 )
@@ -61,7 +60,6 @@ func run() int {
 		maxCones     = flag.Int("store-max-cones", 0, "cone-tier entry bound (0 = default)")
 		maxComps     = flag.Int("store-max-components", 0, "component-tier entry bound (0 = default)")
 		maxCompBytes = flag.Int64("store-max-component-bytes", 0, "component-tier approximate byte bound (0 = none)")
-		flightMS     = flag.Int("flight-interval", 250, "flight recorder sampling interval in ms (0 disables)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -86,18 +84,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "vacsem-serve: load snapshot: %v\n", err)
 			return 1
 		}
-	}
-
-	// The flight recorder feeds /debug/vacsem/runs and the per-run
-	// time-series; it observes only, so serving is identical without it.
-	if *flightMS > 0 {
-		rec := obs.NewRecorder(obs.Default, time.Duration(*flightMS)*time.Millisecond, nil)
-		rec.Start()
-		obs.SetRecorder(rec)
-		defer func() {
-			obs.SetRecorder(nil)
-			rec.Close()
-		}()
 	}
 
 	srv := serve.New(serve.Config{

@@ -38,11 +38,9 @@
 // internal/obs; -obs-metrics table|json dumps the metrics registry
 // after the run; -introspect ADDR serves the live introspection server
 // (/metrics Prometheus exposition, /debug/vacsem/progress event stream,
-// /debug/vacsem/runs flight-recorder snapshot, /debug/pprof) and may
-// share -pprof's address; -flight-interval tunes the flight recorder's
-// sampling; -pprof ADDR serves live net/http/pprof; -cpuprofile and
-// -memprofile write pprof files. None of these change the verified
-// counts.
+// /debug/pprof) and may share -pprof's address; -pprof ADDR serves live
+// net/http/pprof; -cpuprofile and -memprofile write pprof files. None
+// of these change the verified counts.
 package main
 
 import (
@@ -98,8 +96,7 @@ func run() (exitCode int) {
 		tracePath   = flag.String("trace", "", "write span/event trace (JSON lines) to this file")
 		metricsFmt  = flag.String("obs-metrics", "", "print end-of-run metrics registry: table or json")
 		pprofAddr   = flag.String("pprof", "", "serve live net/http/pprof on this address (e.g. localhost:6060)")
-		introspect  = flag.String("introspect", "", "serve the live introspection server on this address: /metrics, /debug/vacsem/progress, /debug/vacsem/runs, /debug/pprof (may equal -pprof to share one listener)")
-		flightIvl   = flag.Duration("flight-interval", 0, "flight-recorder sampling interval (0 = auto: on when -introspect or -trace is set; negative = off)")
+		introspect  = flag.String("introspect", "", "serve the live introspection server on this address: /metrics, /debug/vacsem/progress, /debug/pprof (may equal -pprof to share one listener)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
@@ -116,7 +113,6 @@ func run() (exitCode int) {
 		MemProfile:     *memProfile,
 		PprofAddr:      *pprofAddr,
 		IntrospectAddr: *introspect,
-		FlightInterval: *flightIvl,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vacsem:", err)

@@ -5,12 +5,32 @@ package vacsem_test
 // and sanity-check vacsem-bench output.
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
+
+// command builds a child process that cannot outlive the test binary:
+// when `go test -timeout` sets a deadline, the child is killed 30 s
+// before it, and WaitDelay bounds the wait for its output pipes after
+// the kill, so a hung CLI fails its test instead of surviving the
+// binary's exit.
+func command(t *testing.T, name string, args ...string) *exec.Cmd {
+	t.Helper()
+	ctx := context.Background()
+	if deadline, ok := t.Deadline(); ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline.Add(-30*time.Second))
+		t.Cleanup(cancel)
+	}
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.WaitDelay = 5 * time.Second
+	return cmd
+}
 
 // buildTools compiles the three commands once per test binary run.
 func buildTools(t *testing.T) string {
@@ -18,7 +38,7 @@ func buildTools(t *testing.T) string {
 	dir := t.TempDir()
 	for _, tool := range []string{"vacsem", "circgen", "vacsem-bench"} {
 		out := filepath.Join(dir, tool)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+tool)
+		cmd := command(t, "go", "build", "-o", out, "./cmd/"+tool)
 		cmd.Dir = mustModuleRoot(t)
 		if msg, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, msg)
@@ -38,7 +58,7 @@ func mustModuleRoot(t *testing.T) string {
 
 func run(t *testing.T, bin string, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
+	cmd := command(t, bin, args...)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
@@ -143,15 +163,15 @@ func TestCLIErrors(t *testing.T) {
 	}
 	bin := buildTools(t)
 	// Missing flags must exit non-zero.
-	cmd := exec.Command(filepath.Join(bin, "vacsem"))
+	cmd := command(t, filepath.Join(bin, "vacsem"))
 	if err := cmd.Run(); err == nil {
 		t.Error("vacsem without flags should fail")
 	}
-	cmd = exec.Command(filepath.Join(bin, "circgen"), "-name", "bogus", "-o", "/tmp/x.blif")
+	cmd = command(t, filepath.Join(bin, "circgen"), "-name", "bogus", "-o", "/tmp/x.blif")
 	if err := cmd.Run(); err == nil {
 		t.Error("circgen with unknown benchmark should fail")
 	}
-	cmd = exec.Command(filepath.Join(bin, "vacsem-bench"), "-table", "99")
+	cmd = command(t, filepath.Join(bin, "vacsem-bench"), "-table", "99")
 	if err := cmd.Run(); err == nil {
 		t.Error("vacsem-bench with unknown table should fail")
 	}

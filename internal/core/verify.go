@@ -279,12 +279,6 @@ type Result struct {
 	// is unchanged but Delta (and Confidence) already reflect the
 	// widened per-task failure probabilities.
 	BestEffort bool
-	// Timeseries is the flight recorder's sampled time-series of the run
-	// (decisions, propagations, cache traffic, sim throughput, ... as
-	// cumulative deltas since the run started). Nil unless a recorder was
-	// installed (expo.Setup or obs.SetRecorder); every Result of a
-	// session shares the session's series.
-	Timeseries *obs.Timeseries
 }
 
 // Float returns the metric value as a float64 (inexact for huge MEDs).
@@ -325,9 +319,6 @@ type SessionResult struct {
 	// TotalStats aggregates the counter statistics over all tasks of
 	// the session (equals the sum of the per-Result TotalStats).
 	TotalStats counter.Stats
-	// Timeseries is the flight recorder's sampled series for this
-	// session's run; nil unless a recorder was installed.
-	Timeseries *obs.Timeseries
 }
 
 // VerifyMetrics verifies several average-error metrics of one circuit
@@ -507,34 +498,21 @@ func approxBand(subs []SubResult) (approx bool, eps, delta float64) {
 // into the session result. Each session is one "session" trace span
 // (already opened by the caller); the plan, backend and sub_miter spans
 // nest under it through the context, and one leaf "run" span per metric
-// records the assembled value.
+// records the assembled value. The session is also one run on the live
+// stream: run_start before the backend runs, run_end (with the session's
+// dur_ms, or error) after it returns.
 func runPlan(ctx context.Context, p *plan.Plan, be engine.Backend, opt Options, start time.Time, tr *obs.Tracer, span obs.SpanID) (*SessionResult, error) {
 	mSessions.Inc()
 	ctx, cancel := withTimeLimit(ctx, opt)
 	defer cancel()
-	// When a flight recorder is live, record this session as one run:
-	// the sampler snapshots registry deltas until Finish, which yields
-	// the run's time-series (attached to the results below, and to the
-	// trace — errors included, a timed-out run's partial curve is often
-	// the most interesting one).
-	var fr *obs.RunHandle
-	if rec := obs.ActiveRecorder(); rec != nil {
-		fr = rec.StartRun(obs.RunFrom(ctx), p.Session)
-	}
-	finishFlight := func() *obs.Timeseries {
-		if fr == nil {
-			return nil
-		}
-		ts := fr.Finish()
-		if tr != nil && ts != nil {
-			tr.Event(span, "timeseries", obs.Fields{"timeseries": ts})
-		}
-		return ts
-	}
+	runID := obs.RunFrom(ctx)
+	obs.Stream.Publish("run_start", obs.Fields{"run_id": runID, "label": p.Session})
 	out, err := p.Run(ctx, be, opt.engineConfig(), opt.Progress)
+	end := obs.Fields{"run_id": runID, "label": p.Session}
 	if err != nil {
-		finishFlight()
 		err = mapErr(ctx, err)
+		end["error"] = err.Error()
+		obs.Stream.Publish("run_end", end)
 		mRunErrors.Inc()
 		hRunSeconds.Observe(time.Since(start).Seconds())
 		if tr != nil {
@@ -542,7 +520,8 @@ func runPlan(ctx context.Context, p *plan.Plan, be engine.Backend, opt Options, 
 		}
 		return nil, err
 	}
-	ts := finishFlight()
+	end["dur_ms"] = float64(time.Since(start).Microseconds()) / 1e3
+	obs.Stream.Publish("run_end", end)
 	sr := &SessionResult{
 		Results:         make([]*Result, len(out.Metrics)),
 		Method:          opt.Method,
@@ -553,7 +532,6 @@ func runPlan(ctx context.Context, p *plan.Plan, be engine.Backend, opt Options, 
 		TasksDeduped:    p.TasksDeduped(),
 		BaseNodesBefore: p.BaseNodesBefore,
 		BaseNodesAfter:  p.BaseNodesAfter,
-		Timeseries:      ts,
 	}
 	for i := range out.TaskResults {
 		if out.TaskResults[i].FromStore {
@@ -574,7 +552,6 @@ func runPlan(ctx context.Context, p *plan.Plan, be engine.Backend, opt Options, 
 			TotalStats: mo.Stats,
 			Value:      new(big.Rat).SetFrac(new(big.Int).Set(mo.Count), denom),
 			Confidence: 1,
-			Timeseries: ts,
 		}
 		if ap, eps, delta := approxBand(mo.Subs); ap {
 			res.Approx, res.Epsilon, res.Delta = true, eps, delta

@@ -267,11 +267,9 @@ type Solver struct {
 	hotTick   uint64     // component-event sampling tick
 	cacheTick uint64     // cache-event sampling tick
 	lastEmit  Stats      // stats at the last periodic snapshot delta
-	// live stats flushing (see trace.go). live is captured once per
-	// Count (true when a flight recorder is installed); flushed
-	// tracks the stats already merged into the registry, so periodic
-	// flushes and the final merge sum exactly to s.stats.
-	live    bool
+	// flushed tracks the stats already merged into the metrics registry
+	// (see trace.go), so periodic flushes and the final merge sum
+	// exactly to s.stats.
 	flushed Stats
 }
 
@@ -371,7 +369,6 @@ func (s *Solver) Count(ctx context.Context) (*big.Int, error) {
 	if s.tr != nil {
 		s.span = obs.SpanFrom(ctx)
 	}
-	s.live = obs.ActiveRecorder() != nil
 	defer s.finishObs()
 	if ctx.Done() != nil {
 		s.ctx = ctx
@@ -462,13 +459,14 @@ func (s *Solver) reset() {
 	s.hotTick = 0
 	s.cacheTick = 0
 	s.lastEmit = Stats{}
-	s.live = false
 	s.flushed = Stats{}
 }
 
 // checkAbort polls the active context every 1024 calls. It is invoked at
 // every component solve and every probe, so a cancelled context stops
-// the search within one poll interval.
+// the search within one poll interval. Each poll also flushes the stats
+// accrued since the last one into the metrics registry, so /metrics
+// moves during a long count instead of stepping once at its end.
 func (s *Solver) checkAbort() bool {
 	if s.aborted {
 		return true
@@ -482,12 +480,7 @@ func (s *Solver) checkAbort() bool {
 			s.aborted = true
 			s.abortErr = err
 		}
-		if s.live {
-			// A flight recorder samples the registry on a wall-clock
-			// interval; without mid-run flushes a long count would show up
-			// as one step at the end instead of a moving rate curve.
-			s.flushObs()
-		}
+		s.flushObs()
 	}
 	return s.aborted
 }

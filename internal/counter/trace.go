@@ -8,7 +8,8 @@ import (
 
 // Observability hooks of the solver. Everything in this file is a no-op
 // (a single nil check) when no tracer is installed; the metrics-registry
-// merge in finishObs is a handful of atomic adds per Count call.
+// merge in flushObs is a handful of atomic adds per cancellation poll
+// and one more per Count call.
 //
 // Per-component and per-cache-operation events are sampled at the
 // tracer's HotEvery interval — a component cache can see millions of
@@ -55,11 +56,9 @@ func addStatsToRegistry(d Stats) {
 }
 
 // flushObs merges the stats accrued since the previous flush into the
-// registry. Flushed deltas always sum to the final Stats, so the
-// registry totals are identical whether the run flushed once at the end
-// (the default) or periodically (when a flight recorder is live — the
-// mid-run flushes are what make a long single count show up as a moving
-// decisions/sec curve instead of one step at the end).
+// registry. It runs at every cancellation poll (checkAbort) and once
+// more at the end of Count; the flushed deltas always sum to the final
+// Stats, so the registry totals do not depend on how often it ran.
 func (s *Solver) flushObs() {
 	d := s.stats.Diff(s.flushed)
 	if d == (Stats{}) {

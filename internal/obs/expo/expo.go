@@ -5,20 +5,19 @@
 //	                          obs metrics registry
 //	/debug/vacsem/progress    live run state as a JSONL (or SSE) stream
 //	                          fed by the obs stream hub: run start/end,
-//	                          per-task phase events, per-bit progress,
-//	                          periodic flight-recorder samples
-//	/debug/vacsem/runs        the flight recorder's snapshot of active
-//	                          and recent runs (per-run time-series)
+//	                          per-task phase events, per-bit progress
 //	/debug/pprof/...          the standard net/http/pprof handlers
 //
 // Everything is read-only and observes the same lock-free registry the
 // solvers update, so scraping a live solve never perturbs its counts.
+// The counter flushes its statistics into the registry at every
+// cancellation poll, so /metrics moves during a long count; per-run
+// counter curves come from the trace's periodic stats deltas.
 // Both CLIs expose the handler via -introspect ADDR (which may equal
 // -pprof to share one listener).
 package expo
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -32,17 +31,12 @@ import (
 const DefaultPrefix = "vacsem_"
 
 // Options configures a handler. The zero value serves the process-wide
-// defaults: obs.Default, obs.Stream, and whatever flight recorder is
-// installed at request time.
+// defaults: obs.Default and obs.Stream.
 type Options struct {
 	// Registry is the metrics registry behind /metrics (nil = obs.Default).
 	Registry *obs.Registry
 	// Hub is the stream behind /debug/vacsem/progress (nil = obs.Stream).
 	Hub *obs.Hub
-	// Recorder returns the flight recorder behind /debug/vacsem/runs.
-	// Nil means obs.ActiveRecorder, resolved per request so a recorder
-	// installed after the server starts is still served.
-	Recorder func() *obs.Recorder
 	// Prefix overrides the /metrics name prefix ("" = DefaultPrefix;
 	// use "-" for no prefix).
 	Prefix string
@@ -60,13 +54,6 @@ func (o Options) hub() *obs.Hub {
 		return o.Hub
 	}
 	return obs.Stream
-}
-
-func (o Options) recorder() *obs.Recorder {
-	if o.Recorder != nil {
-		return o.Recorder()
-	}
-	return obs.ActiveRecorder()
 }
 
 func (o Options) prefix() string {
@@ -93,24 +80,12 @@ func NewHandler(opt Options) http.Handler {
 		fmt.Fprint(w, "vacsem introspection server\n\n"+
 			"  /metrics                 Prometheus text exposition\n"+
 			"  /debug/vacsem/progress   live event stream (JSONL; SSE with Accept: text/event-stream)\n"+
-			"  /debug/vacsem/runs       flight recorder snapshot (active + recent runs)\n"+
 			"  /debug/pprof/            net/http/pprof\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", obs.PromContentType)
 		snap := opt.registry().Snapshot()
 		snap.WritePrometheus(w, obs.PromOptions{Prefix: opt.prefix()})
-	})
-	mux.HandleFunc("/debug/vacsem/runs", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		rec := opt.recorder()
-		if rec == nil {
-			enc.Encode(obs.FlightSnapshot{Active: []*obs.Timeseries{}, Recent: []*obs.Timeseries{}})
-			return
-		}
-		enc.Encode(rec.Snapshot())
 	})
 	mux.HandleFunc("/debug/vacsem/progress", func(w http.ResponseWriter, r *http.Request) {
 		serveProgress(opt, w, r)
@@ -122,8 +97,8 @@ func NewHandler(opt Options) http.Handler {
 // serveProgress streams hub events to one client until it disconnects.
 // Plain requests get JSON lines (application/x-ndjson); requests with
 // Accept: text/event-stream get server-sent events. The first line is a
-// stream_open event carrying the flight recorder's currently active
-// runs, so a late subscriber knows what is in flight.
+// {"ev":"stream_open"} event, so a client knows the stream is live
+// before the first run event arrives.
 func serveProgress(opt Options, w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -153,18 +128,7 @@ func serveProgress(opt Options, w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	open := obs.Fields{"ev": "stream_open"}
-	if rec := opt.recorder(); rec != nil {
-		snap := rec.Snapshot()
-		active := make([]obs.Fields, 0, len(snap.Active))
-		for _, ts := range snap.Active {
-			active = append(active, obs.Fields{"run_id": ts.RunID, "label": ts.Label})
-		}
-		open["active_runs"] = active
-		open["interval_ms"] = snap.IntervalMs
-	}
-	line, _ := json.Marshal(open)
-	if !writeLine(line) {
+	if !writeLine([]byte(`{"ev":"stream_open"}`)) {
 		return
 	}
 

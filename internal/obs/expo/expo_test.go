@@ -13,23 +13,17 @@ import (
 	"vacsem/internal/obs"
 )
 
-// testOptions wires a handler to a private registry, hub and recorder
-// so tests never race the process-wide defaults.
-func testOptions(t *testing.T) (Options, *obs.Registry, *obs.Hub, *obs.Recorder) {
+// testOptions wires a handler to a private registry and hub so tests
+// never race the process-wide defaults.
+func testOptions(t *testing.T) (Options, *obs.Registry, *obs.Hub) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	hub := obs.NewHub()
-	rec := obs.NewRecorder(reg, time.Millisecond, []string{"counter.decisions"})
-	opt := Options{
-		Registry: reg,
-		Hub:      hub,
-		Recorder: func() *obs.Recorder { return rec },
-	}
-	return opt, reg, hub, rec
+	return Options{Registry: reg, Hub: hub}, reg, hub
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	opt, reg, _, _ := testOptions(t)
+	opt, reg, _ := testOptions(t)
 	reg.Counter("counter.decisions").Add(77)
 	srv := httptest.NewServer(NewHandler(opt))
 	defer srv.Close()
@@ -52,7 +46,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestMetricsPrefixOverride(t *testing.T) {
-	opt, reg, _, _ := testOptions(t)
+	opt, reg, _ := testOptions(t)
 	reg.Counter("x").Inc()
 	opt.Prefix = "-" // explicit no-prefix
 	srv := httptest.NewServer(NewHandler(opt))
@@ -68,68 +62,10 @@ func TestMetricsPrefixOverride(t *testing.T) {
 	}
 }
 
-func TestRunsEndpoint(t *testing.T) {
-	opt, reg, _, rec := testOptions(t)
-	h := rec.StartRun(0, "ER")
-	reg.Counter("counter.decisions").Add(10)
-	h.Finish()
-	active := rec.StartRun(0, "MED")
-	defer active.Finish()
-
-	srv := httptest.NewServer(NewHandler(opt))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/vacsem/runs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	var snap obs.FlightSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(snap.Recent) != 1 || snap.Recent[0].Label != "ER" {
-		t.Errorf("recent = %+v, want one ER run", snap.Recent)
-	}
-	if len(snap.Active) != 1 || snap.Active[0].Label != "MED" {
-		t.Errorf("active = %+v, want one MED run", snap.Active)
-	}
-	if got := snap.Recent[0].Series[0]; got[len(got)-1] != 10 {
-		t.Errorf("recent run final decisions = %v, want 10", got)
-	}
-}
-
-func TestRunsEndpointNoRecorder(t *testing.T) {
-	opt, _, _, _ := testOptions(t)
-	opt.Recorder = func() *obs.Recorder { return nil }
-	srv := httptest.NewServer(NewHandler(opt))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/vacsem/runs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	var snap struct {
-		Active []any `json:"active"`
-		Recent []any `json:"recent"`
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("decode: %v (%s)", err, body)
-	}
-	if snap.Active == nil || snap.Recent == nil {
-		t.Errorf("want empty arrays, not null: %s", body)
-	}
-}
-
 // The progress endpoint streams hub events as NDJSON, opening with a
-// stream_open line that lists the active runs.
+// bare stream_open line.
 func TestProgressStreamNDJSON(t *testing.T) {
-	opt, _, hub, rec := testOptions(t)
-	run := rec.StartRun(9, "ER+MED")
-	defer run.Finish()
+	opt, _, hub := testOptions(t)
 	srv := httptest.NewServer(NewHandler(opt))
 	defer srv.Close()
 
@@ -149,12 +85,8 @@ func TestProgressStreamNDJSON(t *testing.T) {
 	if err := json.Unmarshal(sc.Bytes(), &open); err != nil {
 		t.Fatalf("stream_open not JSON: %v (%q)", err, sc.Text())
 	}
-	if open["ev"] != "stream_open" {
-		t.Fatalf("first event = %v", open["ev"])
-	}
-	runs, ok := open["active_runs"].([]any)
-	if !ok || len(runs) != 1 {
-		t.Errorf("active_runs = %v, want the one live run", open["active_runs"])
+	if sc.Text() != `{"ev":"stream_open"}` {
+		t.Fatalf("first line = %q, want the bare stream_open event", sc.Text())
 	}
 
 	// Wait for the subscription to land before publishing, then the
@@ -181,7 +113,7 @@ func TestProgressStreamNDJSON(t *testing.T) {
 
 // With Accept: text/event-stream the same endpoint speaks SSE.
 func TestProgressStreamSSE(t *testing.T) {
-	opt, _, _, _ := testOptions(t)
+	opt, _, _ := testOptions(t)
 	srv := httptest.NewServer(NewHandler(opt))
 	defer srv.Close()
 
@@ -213,7 +145,7 @@ func TestProgressStreamSSE(t *testing.T) {
 }
 
 func TestIndexAndPprofRoutes(t *testing.T) {
-	opt, _, _, _ := testOptions(t)
+	opt, _, _ := testOptions(t)
 	srv := httptest.NewServer(NewHandler(opt))
 	defer srv.Close()
 

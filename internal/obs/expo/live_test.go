@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"regexp"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,13 +20,13 @@ import (
 	"vacsem/internal/obs"
 )
 
-// TestLiveIntrospectedVerify is the acceptance check for the tentpole:
-// a verification with the flight recorder sampling and the introspection
-// server being scraped concurrently (run under -race in CI) must
+// TestLiveIntrospectedVerify checks a verification while the
+// introspection server is scraped concurrently (run under -race in CI):
+// it must
 //
 //   - serve parseable /metrics whose counter values only ever grow,
-//   - stream per-task progress on /debug/vacsem/progress,
-//   - attach a non-empty time-series to the result,
+//   - stream the run's lifecycle and per-task progress on
+//     /debug/vacsem/progress,
 //   - and report counts bit-identical to the uninstrumented run.
 func TestLiveIntrospectedVerify(t *testing.T) {
 	exact := gen.RippleCarryAdder(8)
@@ -36,14 +38,6 @@ func TestLiveIntrospectedVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Install the full live stack: fast-sampling recorder + server.
-	rec := obs.NewRecorder(nil, time.Millisecond, nil)
-	rec.Start()
-	obs.SetRecorder(rec)
-	defer func() {
-		obs.SetRecorder(nil)
-		rec.Close()
-	}()
 	srv, err := Start("127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +118,9 @@ func TestLiveIntrospectedVerify(t *testing.T) {
 		}
 	}()
 
+	// The run id every stream event of this run carries.
+	var runID atomic.Uint64
+	opt.Progress = func(ev core.ProgressEvent) { runID.Store(ev.RunID) }
 	res, err := core.Verify(context.Background(), exact, apx, core.MetricSpec{Kind: core.MetricMED}, opt)
 	close(solveDone)
 	<-scrapeDone
@@ -139,42 +136,9 @@ func TestLiveIntrospectedVerify(t *testing.T) {
 		t.Errorf("instrumented value %s != baseline %s", res.Value.RatString(), baseline.Value.RatString())
 	}
 
-	// Non-empty time-series attached to the result.
-	ts := res.Timeseries
-	if ts == nil {
-		t.Fatal("result carries no Timeseries despite active recorder")
-	}
-	if ts.RunID == 0 || ts.Label != "MED" || len(ts.TMs) == 0 {
-		t.Errorf("timeseries = run %d %q with %d points", ts.RunID, ts.Label, len(ts.TMs))
-	}
-	for i, name := range ts.Names {
-		if name == "counter.decisions" {
-			s := ts.Series[i]
-			if got, want := s[len(s)-1], res.TotalStats.Decisions; got != want {
-				t.Errorf("timeseries final decisions = %d, want the run's %d", got, want)
-			}
-		}
-	}
-
-	// The flight endpoint now lists the finished run.
-	runsResp, err := http.Get(base + "/debug/vacsem/runs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap obs.FlightSnapshot
-	err = json.NewDecoder(runsResp.Body).Decode(&snap)
-	runsResp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range snap.Recent {
-		if r.RunID == ts.RunID {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("/debug/vacsem/runs recent lacks run %d: %+v", ts.RunID, snap.Recent)
+	id := runID.Load()
+	if id == 0 {
+		t.Fatal("progress events carried no run id")
 	}
 
 	// The stream saw the run's lifecycle and per-task progress. Events
@@ -186,8 +150,11 @@ func TestLiveIntrospectedVerify(t *testing.T) {
 		for _, ev := range events {
 			kind, _ := ev["ev"].(string)
 			if _, ok := wanted[kind]; ok {
-				if id, _ := ev["run_id"].(float64); uint64(id) == ts.RunID {
+				if got, _ := ev["run_id"].(float64); uint64(got) == id {
 					wanted[kind] = true
+					if _, ok := ev["dur_ms"]; kind == "run_end" && !ok {
+						t.Errorf("successful run_end lacks dur_ms: %v", ev)
+					}
 				}
 			}
 		}
@@ -199,7 +166,7 @@ func TestLiveIntrospectedVerify(t *testing.T) {
 		if all || time.Now().After(deadline) {
 			for kind, seen := range wanted {
 				if !seen {
-					t.Errorf("stream never delivered %q for run %d", kind, ts.RunID)
+					t.Errorf("stream never delivered %q for run %d", kind, id)
 				}
 			}
 			break
@@ -208,4 +175,49 @@ func TestLiveIntrospectedVerify(t *testing.T) {
 	}
 	progResp.Body.Close()
 	<-evDone
+}
+
+// A run cut by its TimeLimit still closes its lifecycle on the stream:
+// run_end carries the error in place of dur_ms.
+func TestRunEndOnTimeout(t *testing.T) {
+	ch, cancel := obs.Stream.Subscribe(1024)
+	defer cancel()
+	id := obs.NextRunID()
+	ctx := obs.WithRun(context.Background(), id)
+	_, err := core.Verify(ctx, gen.RippleCarryAdder(8), als.LowerORAdder(8, 3),
+		core.MetricSpec{Kind: core.MetricMED}, core.Options{Workers: 1, TimeLimit: time.Nanosecond})
+	if !errors.Is(err, core.ErrTimeout) {
+		t.Fatalf("err = %v, want core.ErrTimeout", err)
+	}
+	var started bool
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case line := <-ch:
+			var ev map[string]any
+			if json.Unmarshal(line, &ev) != nil {
+				continue
+			}
+			if got, _ := ev["run_id"].(float64); uint64(got) != id {
+				continue
+			}
+			switch ev["ev"] {
+			case "run_start":
+				started = true
+			case "run_end":
+				if !started {
+					t.Error("run_end arrived without run_start")
+				}
+				if msg, _ := ev["error"].(string); msg != core.ErrTimeout.Error() {
+					t.Errorf("run_end error = %q, want %q", msg, core.ErrTimeout)
+				}
+				if _, ok := ev["dur_ms"]; ok {
+					t.Errorf("failed run_end carries dur_ms: %v", ev)
+				}
+				return
+			}
+		case <-timeout:
+			t.Fatalf("stream never delivered run_end for run %d", id)
+		}
+	}
 }

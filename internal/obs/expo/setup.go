@@ -6,7 +6,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"vacsem/internal/obs"
 )
@@ -23,17 +22,12 @@ type CLIConfig struct {
 	// /debug/vacsem/* and /debug/pprof. When it equals PprofAddr the two
 	// flags share one listener.
 	IntrospectAddr string
-	// FlightInterval controls the flight recorder: a positive duration
-	// samples at that interval, a negative one disables recording, and 0
-	// means auto — record at obs.DefaultFlightInterval whenever the
-	// introspection server or the trace is on.
-	FlightInterval time.Duration
 }
 
-// Setup installs the requested tracer, flight recorder, profilers and
-// introspection server, and returns a stop function that flushes and
-// closes everything — including the HTTP listeners, whose serve loops
-// are waited out so tests and long-lived embedders do not leak ports or
+// Setup installs the requested tracer, profilers and introspection
+// server, and returns a stop function that flushes and closes
+// everything — including the HTTP listeners, whose serve loops are
+// waited out so tests and long-lived embedders do not leak ports or
 // goroutines. Callers must run stop on every exit path (so main must
 // not os.Exit past it); stop is safe to call exactly once.
 func Setup(cfg CLIConfig) (stop func() error, err error) {
@@ -59,21 +53,6 @@ func Setup(cfg CLIConfig) (stop func() error, err error) {
 				err = cerr
 			}
 			return err
-		})
-	}
-
-	interval := cfg.FlightInterval
-	if interval == 0 && (cfg.IntrospectAddr != "" || cfg.TracePath != "") {
-		interval = obs.DefaultFlightInterval
-	}
-	if interval > 0 {
-		rec := obs.NewRecorder(obs.Default, interval, nil)
-		rec.Start()
-		obs.SetRecorder(rec)
-		closers = append(closers, func() error {
-			obs.SetRecorder(nil)
-			rec.Close()
-			return nil
 		})
 	}
 

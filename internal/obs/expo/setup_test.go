@@ -4,7 +4,6 @@ import (
 	"net"
 	"net/http"
 	"testing"
-	"time"
 
 	"vacsem/internal/obs"
 )
@@ -45,16 +44,13 @@ func TestServerCloseReleasesPort(t *testing.T) {
 	ln.Close()
 }
 
-// Setup's stop func tears the whole stack down: introspection listener
-// closed (port released), flight recorder stopped and uninstalled.
+// Setup's stop func tears the whole stack down: the introspection
+// listener is closed and its port released.
 func TestSetupTeardown(t *testing.T) {
 	addr := freePort(t)
 	stop, err := Setup(CLIConfig{IntrospectAddr: addr})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if obs.ActiveRecorder() == nil {
-		t.Error("-introspect should auto-install the flight recorder")
 	}
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
@@ -64,9 +60,6 @@ func TestSetupTeardown(t *testing.T) {
 
 	if err := stop(); err != nil {
 		t.Fatalf("stop: %v", err)
-	}
-	if obs.ActiveRecorder() != nil {
-		t.Error("recorder still installed after stop")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -79,7 +72,7 @@ func TestSetupTeardown(t *testing.T) {
 // an address-in-use failure.
 func TestSetupSharedListener(t *testing.T) {
 	addr := freePort(t)
-	stop, err := Setup(CLIConfig{IntrospectAddr: addr, PprofAddr: addr, FlightInterval: -1})
+	stop, err := Setup(CLIConfig{IntrospectAddr: addr, PprofAddr: addr})
 	if err != nil {
 		t.Fatalf("shared -pprof/-introspect address: %v", err)
 	}
@@ -92,9 +85,6 @@ func TestSetupSharedListener(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof on shared listener: status %d", resp.StatusCode)
 	}
-	if obs.ActiveRecorder() != nil {
-		t.Error("negative FlightInterval must disable the recorder")
-	}
 }
 
 // A zero config is a no-op with a working stop.
@@ -103,31 +93,10 @@ func TestSetupZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs.ActiveRecorder() != nil {
-		t.Error("zero config installed a recorder")
+	if obs.Enabled() {
+		t.Error("zero config installed a tracer")
 	}
 	if err := stop(); err != nil {
 		t.Errorf("stop: %v", err)
-	}
-}
-
-// FlightInterval > 0 records without any server.
-func TestSetupFlightOnly(t *testing.T) {
-	stop, err := Setup(CLIConfig{FlightInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.ActiveRecorder()
-	if rec == nil {
-		t.Fatal("recorder not installed")
-	}
-	if rec.Interval() != time.Millisecond {
-		t.Errorf("interval = %v", rec.Interval())
-	}
-	if err := stop(); err != nil {
-		t.Errorf("stop: %v", err)
-	}
-	if obs.ActiveRecorder() != nil {
-		t.Error("recorder still installed after stop")
 	}
 }

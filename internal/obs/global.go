@@ -49,8 +49,8 @@ func SpanFrom(ctx context.Context) SpanID {
 }
 
 // processStart anchors the process-wide monotonic clock shared by the
-// stream hub, the flight recorder and ProgressEvent timestamps, so
-// events from different layers of one process order consistently.
+// stream hub and ProgressEvent timestamps, so events from different
+// layers of one process order consistently.
 var processStart = time.Now()
 
 // SinceStart returns the monotonic time elapsed since the obs package
@@ -61,16 +61,16 @@ func SinceStart() time.Duration { return time.Since(processStart) }
 var runIDs atomic.Uint64
 
 // NextRunID returns a fresh process-unique run id. internal/core stamps
-// one on every verification session; progress events, stream events,
-// trace spans and flight-recorder time-series all carry it, so a live
-// scrape can be correlated with the trace file after the fact.
+// one on every verification session; progress events, stream events
+// and trace spans all carry it, so a live scrape can be correlated
+// with the trace file after the fact.
 func NextRunID() uint64 { return runIDs.Add(1) }
 
 type runCtxKey struct{}
 
 // WithRun returns a context carrying the given run id for downstream
-// instrumentation (the engine's task events and the counter's live
-// stats flushes attribute themselves to the run they serve).
+// instrumentation (the engine's task events and the plan's progress
+// events attribute themselves to the run they serve).
 func WithRun(ctx context.Context, id uint64) context.Context {
 	return context.WithValue(ctx, runCtxKey{}, id)
 }
@@ -85,23 +85,3 @@ func RunFrom(ctx context.Context) uint64 {
 	}
 	return 0
 }
-
-// recorder holds the installed flight recorder, or nil when run
-// recording is disabled. Like the tracer, the disabled fast path is one
-// atomic pointer load.
-var recorder atomic.Pointer[Recorder]
-
-// SetRecorder installs r as the process-wide flight recorder (nil
-// disables run recording). Sessions already in flight keep the recorder
-// they captured at start.
-func SetRecorder(r *Recorder) {
-	if r == nil {
-		recorder.Store(nil)
-		return
-	}
-	recorder.Store(r)
-}
-
-// ActiveRecorder returns the installed flight recorder, or nil when run
-// recording is disabled.
-func ActiveRecorder() *Recorder { return recorder.Load() }

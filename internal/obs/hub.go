@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// Hub is a broadcast channel for live introspection events: the flight
-// recorder publishes run/sample events, the engine publishes task
-// start/done events, and the plan layer publishes per-bit progress.
+// Hub is a broadcast channel for live introspection events: the core
+// layer publishes run_start/run_end per session, the engine publishes
+// task start/done events, and the plan layer publishes per-bit progress.
 // The introspection server's /debug/vacsem/progress endpoint is a
 // subscriber; so is anything embedding the library.
 //
@@ -16,7 +16,7 @@ import (
 // the instrumented layers publish unconditionally without a config
 // knob. Slow subscribers never block a publisher: events that do not
 // fit a subscriber's buffer are dropped for that subscriber (counted in
-// obs.stream_dropped) — live introspection prefers losing a sample over
+// obs.stream_dropped) — live introspection prefers losing an event over
 // stalling the solver.
 type Hub struct {
 	mu   sync.Mutex

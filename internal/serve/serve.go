@@ -173,8 +173,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildMux wires the API routes plus the expo introspection handler
-// (which brings /metrics, the live progress stream, the flight-recorder
-// snapshot and pprof along).
+// (which brings /metrics, the live progress stream and pprof along).
 func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/verify", s.handleSubmit)

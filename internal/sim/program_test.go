@@ -227,9 +227,9 @@ func TestFusedMatchesIdentityTape(t *testing.T) {
 
 // TestCountOnesCancelNoMetricLeak cancels an enumeration mid-flight and
 // asserts the kernel's success metrics (patterns/blocks, and the
-// enum-path aggregates feeding the flight recorder and bench reports)
-// do not advance: a cancelled run must not leak a partial count into
-// any derived throughput or recorded snapshot.
+// enum-path aggregates feeding /metrics and bench reports) do not
+// advance: a cancelled run must not leak a partial count into any
+// derived throughput.
 func TestCountOnesCancelNoMetricLeak(t *testing.T) {
 	c := testutil.RandomCircuit(28, 600, 2, 5)
 	ctx, cancel := context.WithCancel(context.Background())

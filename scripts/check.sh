@@ -27,7 +27,7 @@ echo "==> benchmark module (vet + tests; it builds against the internal API)"
 echo "==> go test -race -short (cache/engine concurrency fast path)"
 # Focused first pass over the packages that share the component cache
 # and the cross-request store across goroutines — plus the
-# observability hub/recorder/server, whose whole point is concurrent
+# observability hub/server, whose whole point is concurrent
 # access: fails fast on a race before the full suite.
 go test -race -short ./internal/counter ./internal/engine ./internal/plan ./internal/core \
 	./internal/store ./internal/serve ./internal/obs ./internal/obs/expo
