@@ -81,7 +81,6 @@ func run() (exitCode int) {
 	timeLimit := flag.Duration("timelimit", 0, "per-verification time limit (default 30s, 4h with -full)")
 	workers := flag.Int("workers", 1, "concurrent sub-miter solvers per run (0 = one per CPU; 1 reproduces the paper's single-thread timings)")
 	simWorkers := flag.Int("sim-workers", 1, "goroutines for exhaustive simulation block enumeration (0 = one per CPU; 1 keeps single-thread timings comparable)")
-	bddReorder := flag.Bool("bdd-reorder", false, "enable dynamic variable reordering (window sifting) in the bdd method")
 	sharedCache := flag.Bool("shared-cache", true, "share one component-count cache across each run's sub-miter solvers (counts are identical either way)")
 	report := flag.String("report", "auto", "JSON report path; auto = BENCH_<timestamp>.json, none = disabled")
 	tracePath := flag.String("trace", "", "write span/event trace (JSON lines) to this file")
@@ -120,8 +119,7 @@ func run() (exitCode int) {
 	cfg := bench.Config{
 		Options: core.Options{
 			TimeLimit: *timeLimit, Workers: *workers, SimWorkers: *simWorkers,
-			BDDReorder: *bddReorder, DisableSharedCache: !*sharedCache,
-			Epsilon: *epsilon, Delta: *delta, Seed: *countSeed,
+			DisableSharedCache: !*sharedCache, Epsilon: *epsilon, Delta: *delta, Seed: *countSeed,
 		},
 		Full: *full, Versions: *versions,
 	}

@@ -90,7 +90,6 @@ func run() (exitCode int) {
 		alpha       = flag.Float64("alpha", 0, "density-score scaling factor (default 2)")
 		workers     = flag.Int("workers", 0, "concurrent sub-miter solvers (0 = one per CPU)")
 		simWorkers  = flag.Int("sim-workers", 0, "goroutines for exhaustive simulation block enumeration (0 = one per CPU; counts are bit-identical at any setting)")
-		bddReorder  = flag.Bool("bdd-reorder", false, "enable dynamic variable reordering (window sifting) in the bdd backend")
 		progress    = flag.Bool("progress", false, "stream per-sub-miter completion events")
 		verbose     = flag.Bool("v", false, "print per-output-bit details")
 		tracePath   = flag.String("trace", "", "write span/event trace (JSON lines) to this file")
@@ -137,7 +136,6 @@ func run() (exitCode int) {
 		Alpha:              *alpha,
 		Workers:            *workers,
 		SimWorkers:         *simWorkers,
-		BDDReorder:         *bddReorder,
 		DisableSharedCache: !*sharedCache,
 		Epsilon:            *epsilon,
 		Delta:              *delta,

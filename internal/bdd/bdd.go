@@ -6,8 +6,11 @@
 // below the circuit sizes VACSEM handles.
 //
 // The implementation is a classic hash-consed ROBDD with an ITE-based
-// apply, a computed-table cache, model counting over the diagram, and a
-// hard node budget that turns explosion into a clean ErrNodeLimit.
+// apply, a computed-table cache, model counting over the diagram, a
+// pair traversal that counts where two diagrams disagree, and a hard
+// node budget that turns explosion into a clean ErrNodeLimit. The
+// variable order is static: callers pick it once (DFSOrder) and
+// variable i always sits at level i.
 package bdd
 
 import (
@@ -41,30 +44,18 @@ const (
 )
 
 type node struct {
-	level     int32 // variable level (index in the manager's order)
+	level     int32 // variable index (numVars for the terminals)
 	low, high Ref
 }
 
-// Manager owns the node table of one BDD universe. Variables map to
-// levels through the varAt/levelOf permutation (identity until dynamic
-// reordering runs); level 0 is at the top.
+// Manager owns the node table of one BDD universe. Variable i is
+// tested at level i; level 0 is at the top.
 type Manager struct {
 	numVars int
 	nodes   []node
 	unique  map[node]Ref
 	iteMemo map[[3]Ref]Ref
 	limit   int
-
-	// varAt[l] is the variable tested at level l; levelOf[v] its inverse.
-	// Sifting (reorder.go) permutes these; all other code addresses
-	// nodes by level, so only Var and Eval consult the maps.
-	varAt   []int32
-	levelOf []int32
-
-	// Dynamic-reordering state: autoReorder arms the sifting trigger in
-	// the build loop, firing at doubling node counts from reorderNext.
-	autoReorder bool
-	reorderNext int
 
 	ctx   context.Context // cancellation source (nil = none)
 	ticks uint32
@@ -91,13 +82,7 @@ func New(numVars, limit int) *Manager {
 		unique:     make(map[node]Ref),
 		iteMemo:    make(map[[3]Ref]Ref),
 		limit:      limit,
-		varAt:      make([]int32, numVars),
-		levelOf:    make([]int32, numVars),
 		growthNext: 1024,
-	}
-	for i := range m.varAt {
-		m.varAt[i] = int32(i)
-		m.levelOf[i] = int32(i)
 	}
 	// Terminals: level = numVars (below all variables).
 	m.nodes[False] = node{level: int32(numVars)}
@@ -107,10 +92,6 @@ func New(numVars, limit int) *Manager {
 
 // NumNodes returns the live node count (including the two terminals).
 func (m *Manager) NumNodes() int { return len(m.nodes) }
-
-// ITECalls returns the number of ITE apply invocations (including memo
-// hits) since the manager was created.
-func (m *Manager) ITECalls() uint64 { return m.iteCalls }
 
 // poll checks the installed context once every 4096 calls. It sits at
 // the top of the ITE recursion — the apply hot loop — so cancelling the
@@ -128,13 +109,12 @@ func (m *Manager) poll() error {
 	return nil
 }
 
-// Var returns the BDD of variable i (at whatever level dynamic
-// reordering has currently placed it).
+// Var returns the BDD of variable i.
 func (m *Manager) Var(i int) (Ref, error) {
 	if i < 0 || i >= m.numVars {
 		return 0, fmt.Errorf("bdd: variable %d out of range", i)
 	}
-	return m.mk(m.levelOf[i], False, True)
+	return m.mk(int32(i), False, True)
 }
 
 // mk hash-conses a node, applying the reduction rules.
@@ -264,11 +244,51 @@ func (m *Manager) CountOnes(f Ref) *big.Int {
 	return rec(f)
 }
 
+// CountDifferent returns the number of assignments (over all numVars
+// variables) on which f and g evaluate differently — the error-rate
+// count #SAT(f XOR g) — by a memoized synchronized descent over the
+// node pair instead of materializing the XOR diagram. The pair
+// traversal touches O(|f|*|g|) pairs worst case but allocates no new
+// nodes, so it cannot trip the node budget the way building the miter
+// XOR can.
+func (m *Manager) CountDifferent(f, g Ref) *big.Int {
+	type pair struct{ a, b Ref }
+	memo := make(map[pair]*big.Int)
+	full := new(big.Int).Lsh(big.NewInt(1), uint(m.numVars))
+	var rec func(a, b Ref) *big.Int
+	rec = func(a, b Ref) *big.Int {
+		if a == b {
+			return big.NewInt(0)
+		}
+		if a > b {
+			a, b = b, a // difference is symmetric: canonicalize the key
+		}
+		if b <= True {
+			return full // a == False, b == True: differ everywhere
+		}
+		key := pair{a, b}
+		if v, ok := memo[key]; ok {
+			return v
+		}
+		top := m.nodes[a].level
+		if l := m.nodes[b].level; l < top {
+			top = l
+		}
+		a0, a1 := m.cofactors(a, top)
+		b0, b1 := m.cofactors(b, top)
+		sum := new(big.Int).Add(rec(a0, b0), rec(a1, b1))
+		sum.Rsh(sum, 1)
+		memo[key] = sum
+		return sum
+	}
+	return rec(f, g)
+}
+
 // Eval evaluates f under the assignment (in[i] = value of variable i).
 func (m *Manager) Eval(f Ref, in []bool) bool {
 	for f != False && f != True {
 		n := m.nodes[f]
-		if in[m.varAt[n.level]] {
+		if in[n.level] {
 			f = n.high
 		} else {
 			f = n.low
@@ -345,8 +365,7 @@ func DFSOrder(c *circuit.Circuit) []int {
 // mapped to BDD variable pos[i] (nil means declaration order). Gates
 // outside the target cones are skipped. The returned refs parallel ids.
 // It returns ErrNodeLimit when the diagram explodes past the manager's
-// budget. When EnableAutoReorder is armed, sifting runs between gate
-// lowerings at doubling node-count thresholds.
+// budget.
 //
 // For the duration of the call every ITE apply polls ctx (every few
 // thousand recursion steps) and aborts with the context's error, and
@@ -366,7 +385,6 @@ func (m *Manager) Build(ctx context.Context, c *circuit.Circuit, pos []int, ids 
 		return nil, fmt.Errorf("bdd: order has %d entries for %d inputs", len(pos), c.NumInputs())
 	}
 	refs := make([]Ref, len(c.Nodes))
-	built := make([]bool, len(c.Nodes))
 	mark := c.ConeMark(ids...)
 	for i, id := range c.Inputs {
 		v := i
@@ -378,20 +396,12 @@ func (m *Manager) Build(ctx context.Context, c *circuit.Circuit, pos []int, ids 
 			return nil, err
 		}
 		refs[id] = r
-		built[id] = true
 	}
 	refs[0] = False
-	built[0] = true
 	for id := 1; id < len(c.Nodes); id++ {
 		nd := &c.Nodes[id]
 		if nd.Kind == circuit.Input || !mark[id] {
 			continue
-		}
-		if m.autoReorder && len(m.nodes) >= m.reorderNext {
-			m.reorderNext = len(m.nodes) * 2
-			if err := m.Reorder(liveRoots(refs, built)); err != nil {
-				return nil, err
-			}
 		}
 		var r Ref
 		var err error
@@ -448,26 +458,12 @@ func (m *Manager) Build(ctx context.Context, c *circuit.Circuit, pos []int, ids 
 			return nil, err
 		}
 		refs[id] = r
-		built[id] = true
 	}
 	outs := make([]Ref, len(ids))
 	for j, o := range ids {
 		outs[j] = refs[o]
 	}
 	return outs, nil
-}
-
-// liveRoots gathers every ref built so far: partial results still feed
-// later gate lowerings, so all of them anchor the live-size metric the
-// sifter optimizes (and none may change function during a swap).
-func liveRoots(refs []Ref, built []bool) []Ref {
-	roots := make([]Ref, 0, len(refs))
-	for id, ok := range built {
-		if ok && refs[id] > True {
-			roots = append(roots, refs[id])
-		}
-	}
-	return roots
 }
 
 // flushObs pushes the ITE-call delta since the previous flush and the

@@ -182,3 +182,31 @@ func TestInputCountMismatch(t *testing.T) {
 		t.Error("input-count mismatch accepted")
 	}
 }
+
+// TestCountDifferentMatchesXor pins the ER pair traversal against the
+// reference: CountDifferent(f, g) == CountOnes(f XOR g) over random
+// circuit outputs, including f == g and terminal operands.
+func TestCountDifferentMatchesXor(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		nIn := 4 + int(seed%8)
+		c := testutil.RandomCircuit(nIn, 20+int(seed*11%60), 2, seed)
+		m := New(nIn, 0)
+		roots, err := m.Build(context.Background(), c, nil, c.Outputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, g := roots[0], roots[1]
+		for _, pair := range [][2]Ref{{f, g}, {g, f}, {f, f}, {f, True}, {False, g}, {False, True}} {
+			x, err := m.Xor(pair[0], pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := m.CountOnes(x)
+			got := m.CountDifferent(pair[0], pair[1])
+			if got.Cmp(want) != 0 {
+				t.Fatalf("seed %d (%d,%d): CountDifferent = %v, CountOnes(xor) = %v",
+					seed, pair[0], pair[1], got, want)
+			}
+		}
+	}
+}

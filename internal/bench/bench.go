@@ -13,6 +13,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -94,6 +95,30 @@ func (c Config) approxGuarantee() (eps, delta float64) {
 	return eps, delta
 }
 
+// outcome is a verification error classified once, for the tables and
+// the JSON report alike.
+type outcome int
+
+const (
+	outcomeOK       outcome = iota
+	outcomeTimeout          // the run's own time limit expired
+	outcomeTooLarge         // enumeration beyond 62 inputs, or a BDD past its node budget
+	outcomeError            // anything else: bad input, an internal failure
+)
+
+func classify(err error) outcome {
+	switch {
+	case err == nil:
+		return outcomeOK
+	case errors.Is(err, core.ErrTimeout):
+		return outcomeTimeout
+	case errors.Is(err, core.ErrTooLarge), errors.Is(err, core.ErrBDDTooLarge):
+		return outcomeTooLarge
+	default:
+		return outcomeError
+	}
+}
+
 // Spec is one benchmark row: an exact circuit plus its approximate
 // versions.
 type Spec struct {
@@ -110,13 +135,20 @@ type Cell struct {
 	// TimedOut reports that at least one version hit the limit (the cell
 	// is a ">limit" lower bound, as in the paper's tables).
 	TimedOut bool
-	// Infeasible marks enumeration beyond 62 inputs.
+	// Infeasible marks enumeration beyond 62 inputs or a BDD past its
+	// node budget.
 	Infeasible bool
+	// Failed marks a run that failed for any other reason (bad input,
+	// internal error): it prints as "error", never as a timeout.
+	Failed bool
 }
 
 // Render formats the cell the way the paper prints runtime columns.
 func (c Cell) Render(limit time.Duration) string {
-	if c.Infeasible || c.TimedOut {
+	switch {
+	case c.Failed:
+		return "error"
+	case c.Infeasible || c.TimedOut:
 		return fmt.Sprintf(">%g", limit.Seconds())
 	}
 	return fmt.Sprintf("%.4g", c.Geomean)
@@ -134,10 +166,7 @@ type Row struct {
 func (r Row) Speedup(base core.Method, limit time.Duration) string {
 	v, okV := r.Cells[core.MethodVACSEM]
 	b, okB := r.Cells[base]
-	if !okV || !okB {
-		return "-"
-	}
-	if v.TimedOut || v.Infeasible {
+	if !okV || !okB || v.TimedOut || v.Infeasible || v.Failed || b.Failed {
 		return "-"
 	}
 	if b.TimedOut || b.Infeasible {
@@ -151,7 +180,7 @@ func (r Row) Speedup(base core.Method, limit time.Duration) string {
 func (r Row) speedupValue(base core.Method, limit time.Duration) float64 {
 	v, okV := r.Cells[core.MethodVACSEM]
 	b, okB := r.Cells[base]
-	if !okV || !okB || v.TimedOut || v.Infeasible || v.Geomean == 0 {
+	if !okV || !okB || v.TimedOut || v.Infeasible || v.Failed || b.Failed || v.Geomean == 0 {
 		return 0
 	}
 	if b.TimedOut || b.Infeasible {
@@ -346,24 +375,26 @@ func RunTable(specs []Spec, metric Metric, cfg Config) []Row {
 				if cfg.OnRun != nil {
 					cfg.OnRun(newRunRecord(spec.Name, metric.String(), m, v, res, err, time.Since(start)))
 				}
-				switch err {
-				case nil:
+				switch classify(err) {
+				case outcomeOK:
 					secs := res.Runtime.Seconds()
 					if secs <= 0 {
 						secs = 1e-6
 					}
 					logSum += math.Log(secs)
 					completed++
-				case core.ErrTooLarge:
+				case outcomeTimeout:
+					cell.TimedOut = true
+				case outcomeTooLarge:
 					cell.Infeasible = true
 				default:
-					cell.TimedOut = true
+					cell.Failed = true
 				}
 				if err != nil {
 					break // no point timing the remaining versions
 				}
 			}
-			if completed > 0 && !cell.TimedOut && !cell.Infeasible {
+			if completed > 0 && !cell.TimedOut && !cell.Infeasible && !cell.Failed {
 				cell.Geomean = math.Exp(logSum / float64(completed))
 			}
 			row.Cells[m] = cell
@@ -689,13 +720,15 @@ func WriteDDScalability(w io.Writer, cfg Config) {
 			if cfg.OnRun != nil {
 				cfg.OnRun(newRunRecord(p.name, p.metric.String(), m, 0, res, err, time.Since(start)))
 			}
-			switch err {
-			case nil:
+			switch classify(err) {
+			case outcomeOK:
 				return fmt.Sprintf("%.4g", time.Since(start).Seconds())
-			case core.ErrBDDTooLarge:
+			case outcomeTimeout:
+				return fmt.Sprintf(">%g", cfg.TimeLimit.Seconds())
+			case outcomeTooLarge:
 				return "blow-up"
 			default:
-				return fmt.Sprintf(">%g", cfg.TimeLimit.Seconds())
+				return "error"
 			}
 		}
 		fmt.Fprintf(w, "%-13s %14s %14s\n", p.name, render(core.MethodBDD), render(core.MethodVACSEM))

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"vacsem/internal/circuit"
 	"vacsem/internal/core"
+	"vacsem/internal/gen"
 )
 
 func tinyConfig() Config {
@@ -141,6 +143,36 @@ func TestRunTableEndToEnd(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "adder8") || !strings.Contains(out, "GEOMEAN") {
 		t.Errorf("table output malformed:\n%s", out)
+	}
+}
+
+// TestRunTableErrorIsNotATimeout pins the error classification: a run
+// that fails outright (here, a pair whose input counts differ) prints
+// as "error" with no speedup, never as a ">limit" timeout, and its
+// report record carries the error instead of a timeout flag.
+func TestRunTableErrorIsNotATimeout(t *testing.T) {
+	cfg := tinyConfig()
+	var recs []RunRecord
+	cfg.OnRun = func(r RunRecord) { recs = append(recs, r) }
+	spec := Spec{Name: "mismatch", Exact: gen.RippleCarryAdder(4),
+		Approx: []*circuit.Circuit{gen.RippleCarryAdder(3)}}
+	rows := RunTable([]Spec{spec}, ER, cfg)
+	for m, c := range rows[0].Cells {
+		if got := c.Render(cfg.TimeLimit); got != "error" {
+			t.Errorf("%v cell renders %q, want error", m, got)
+		}
+	}
+	if got := rows[0].Speedup(core.MethodDPLL, cfg.TimeLimit); got != "-" {
+		t.Errorf("speedup over a failed row = %q, want -", got)
+	}
+	if len(recs) != len(rows[0].Cells) {
+		t.Fatalf("%d run records for %d methods", len(recs), len(rows[0].Cells))
+	}
+	for _, r := range recs {
+		if r.Err == "" || r.TimedOut || r.Infeasible {
+			t.Errorf("%s record: err=%q timed_out=%v infeasible=%v, want an error only",
+				r.Method, r.Err, r.TimedOut, r.Infeasible)
+		}
 	}
 }
 

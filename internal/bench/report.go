@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -83,13 +82,12 @@ func newRunRecord(bench, metric string, m core.Method, version int, res *core.Re
 		Version: version,
 		Seconds: wall.Seconds(),
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, core.ErrTimeout):
+	switch classify(err) {
+	case outcomeTimeout:
 		rec.TimedOut = true
-	case errors.Is(err, core.ErrTooLarge), errors.Is(err, core.ErrBDDTooLarge):
+	case outcomeTooLarge:
 		rec.Infeasible = true
-	default:
+	case outcomeError:
 		rec.Err = err.Error()
 	}
 	if res == nil {
@@ -179,9 +177,9 @@ func newSessionRecord(bench string, m core.Method, version int, sess *core.Sessi
 		Version: version,
 		Seconds: wall.Seconds(),
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, core.ErrTimeout):
+	switch classify(err) {
+	case outcomeOK:
+	case outcomeTimeout:
 		rec.TimedOut = true
 	default:
 		rec.Err = err.Error()

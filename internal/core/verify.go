@@ -195,9 +195,6 @@ type Options struct {
 	// BDDNodeLimit caps the decision-diagram size for MethodBDD
 	// (default 1<<22 nodes).
 	BDDNodeLimit int
-	// BDDReorder enables dynamic variable reordering (window sifting)
-	// during MethodBDD's diagram builds.
-	BDDReorder bool
 	// Workers bounds the number of tasks solved concurrently, and the
 	// goroutines of MethodVACSEM's session sweep (the tasks its
 	// controller simulates whole, counted in one pass per input support).
@@ -236,7 +233,6 @@ func (o *Options) engineConfig() engine.Config {
 		SharedCache:  !o.DisableSharedCache,
 		Store:        o.Store,
 		BDDNodeLimit: o.BDDNodeLimit,
-		BDDReorder:   o.BDDReorder,
 		Workers:      o.Workers,
 		SimWorkers:   o.SimWorkers,
 		Epsilon:      o.Epsilon,

@@ -27,9 +27,6 @@ func (bddBackend) Count(ctx context.Context, req *Request, todo []int, emit *Emi
 		work = synth.Compress(work)
 	}
 	mgr := bdd.New(work.NumInputs(), req.Config.BDDNodeLimit)
-	if req.Config.BDDReorder {
-		mgr.EnableAutoReorder()
-	}
 	// XOR-rooted task outputs (the ER/Hamming deviation bits: exact XOR
 	// approx) are counted by the pair traversal over their two fanin
 	// diagrams instead of materializing the XOR — the XOR of two large

@@ -74,9 +74,6 @@ type Config struct {
 	// BDDNodeLimit caps the decision-diagram size for the bdd backend
 	// (default 1<<22 nodes).
 	BDDNodeLimit int
-	// BDDReorder enables dynamic variable reordering (window sifting)
-	// during the bdd backend's diagram builds.
-	BDDReorder bool
 	// Workers bounds the number of tasks the runner's pool solves
 	// concurrently for the backends that count task by task (vacsem,
 	// dpll, approx), and the goroutines of the vacsem backend's session

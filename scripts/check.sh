@@ -125,4 +125,13 @@ go run ./cmd/vacsem-bench -table 5 -versions 2 -timelimit 10s \
 	-report "$apxdir/bench_med.json" >/dev/null
 go run ./cmd/vacsem-bench -diff "$med_baseline" "$apxdir/bench_med.json"
 
+echo "==> bench DD count gate (footnote-2 table vs committed baseline)"
+# Tables IV and V run only vacsem, dpll and enum; this gate covers the
+# bdd backend's counts and its blow-up rows. Every completed row takes
+# a few seconds at most, far inside the 120 s limit.
+dd_baseline=BENCH_20261019T050207.json
+go run ./cmd/vacsem-bench -table dd -full -timelimit 120s \
+	-report "$apxdir/bench_dd.json" >/dev/null
+go run ./cmd/vacsem-bench -diff "$dd_baseline" "$apxdir/bench_dd.json"
+
 echo "OK"

@@ -13,8 +13,14 @@ cd "$(dirname "$0")/.."
 
 workdir=$(mktemp -d)
 pid=""
+# On a failure path the server may still be running (or draining a
+# stuck job for up to its drain timeout): kill it outright and reap it,
+# so the script never exits with the server left behind.
 cleanup() {
-	[ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+	if [ -n "$pid" ]; then
+		kill -KILL "$pid" 2>/dev/null || true
+		wait "$pid" 2>/dev/null || true
+	fi
 	rm -rf "$workdir"
 }
 trap cleanup EXIT
