@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"vacsem/internal/als"
-	"vacsem/internal/bench"
 	"vacsem/internal/circuit"
 	"vacsem/internal/cnf"
 	"vacsem/internal/core"
@@ -26,13 +25,10 @@ import (
 )
 
 // verifyBench runs one verification per iteration.
-func verifyBench(b *testing.B, metric bench.Metric, exact, approx *circuit.Circuit, m core.Method) {
+func verifyBench(b *testing.B, metric core.MetricKind, exact, approx *circuit.Circuit, m core.Method) {
 	b.Helper()
 	opt := core.Options{Method: m, TimeLimit: 5 * time.Minute}
-	spec := core.MetricSpec{Kind: core.MetricER}
-	if metric == bench.MED {
-		spec.Kind = core.MetricMED
-	}
+	spec := core.MetricSpec{Kind: metric}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,7 +75,7 @@ func BenchmarkTable4(b *testing.B) {
 				continue // paper: GANAK times out on dense multipliers
 			}
 			b.Run(fmt.Sprintf("%s/%v", w.name, m), func(b *testing.B) {
-				verifyBench(b, bench.ER, w.exact, w.approx, m)
+				verifyBench(b, core.MetricER, w.exact, w.approx, m)
 			})
 		}
 	}
@@ -104,7 +100,7 @@ func BenchmarkTable5(b *testing.B) {
 				continue // 2^32 patterns per iteration is the paper's ">14400 s" row
 			}
 			b.Run(fmt.Sprintf("%s/%v", w.name, m), func(b *testing.B) {
-				verifyBench(b, bench.MED, w.exact, w.approx, m)
+				verifyBench(b, core.MetricMED, w.exact, w.approx, m)
 			})
 		}
 	}
@@ -129,7 +125,7 @@ func BenchmarkTable6(b *testing.B) {
 		approx := als.Approximate(exact, als.Config{Seed: 9, TargetER: 0.01, RequireError: true})
 		for _, m := range []core.Method{core.MethodVACSEM, core.MethodDPLL} {
 			b.Run(fmt.Sprintf("%s/%v", e.name, m), func(b *testing.B) {
-				verifyBench(b, bench.ER, exact, approx, m)
+				verifyBench(b, core.MetricER, exact, approx, m)
 			})
 		}
 	}

@@ -10,7 +10,9 @@
 //
 // -table multi additionally benchmarks the multi-metric session mode:
 // {ER, MED, MHD} of each pair verified in one shared-base, deduplicated
-// run, against the sum of the three standalone runs.
+// run, against the sum of the three standalone runs. A session value
+// that differs from its standalone run prints "VALUE MISMATCH" and
+// makes the exit status 1.
 //
 // -table approx compares the (ε, δ) approximate-counting backend with
 // exact VACSEM on the adder/multiplier suite: estimates are checked
@@ -28,11 +30,12 @@
 // one verification writes a machine-readable JSON report with one
 // record per individual run — including per-sub-miter wall times, which
 // the geomean tables aggregate away — plus the end-of-run metric
-// totals. The default path is BENCH_<timestamp>.json in the current
-// directory, next to the table output; -report FILE overrides it and
-// -report none disables it. -introspect ADDR serves the live
-// introspection endpoints (/metrics, /debug/vacsem/progress,
-// /debug/pprof) while the suite runs.
+// totals. Each text table is printed from those records alone, so a
+// committed report re-renders its tables exactly. The default path is
+// BENCH_<timestamp>.json in the current directory, next to the table
+// output; -report FILE overrides it and -report none disables it.
+// -introspect ADDR serves the live introspection endpoints (/metrics,
+// /debug/vacsem/progress, /debug/pprof) while the suite runs.
 //
 // -diff OLD.json NEW.json switches to the count gate: the two reports
 // are compared run-by-run (matched by bench, metric, method and
@@ -40,7 +43,8 @@
 // the exit status is 1 when an exact count or approx flag changed, a
 // completed run now times out, errors or is infeasible, or a run is
 // missing from NEW. Wall time is never gated here; the benchmark/
-// module owns performance.
+// module owns performance. A report that cannot be read, or that holds
+// two runs under one key, exits 2.
 //
 // Usage:
 //
@@ -132,11 +136,15 @@ func run() (exitCode int) {
 		cfg.Methods = []core.Method{m}
 	}
 	rep := bench.NewReport(cfg, *table, time.Now())
-	cfg.OnRun = rep.Add
-	cfg.OnSession = rep.AddSession
-
 	want := func(t string) bool { return *table == "all" || *table == t }
-	ran := false
+	ran, mismatch := false, false
+	// record files a table's runs in the report; the table then prints
+	// from those records alone.
+	record := func(runs []bench.RunRecord) []bench.RunRecord {
+		ran = true
+		rep.Runs = append(rep.Runs, runs...)
+		return runs
+	}
 
 	if want("3") {
 		ran = true
@@ -144,51 +152,46 @@ func run() (exitCode int) {
 		fmt.Println()
 	}
 	if want("4") {
-		ran = true
-		specs := bench.AdderMultSpecs(cfg)
-		rows := bench.RunTable(specs, bench.ER, cfg)
-		bench.WriteTable(os.Stdout, "Table IV: verifying ERs of adders and multipliers", rows, cfg)
+		runs := record(bench.RunTable(bench.AdderMultSpecs(cfg), bench.ER, cfg))
+		bench.WriteTable(os.Stdout, bench.TitleIV, bench.Rows(runs), cfg)
 		fmt.Println()
 	}
 	if want("5") {
-		ran = true
-		specs := bench.AdderMultSpecs(cfg)
-		rows := bench.RunTable(specs, bench.MED, cfg)
-		bench.WriteTable(os.Stdout, "Table V: verifying MEDs of adders and multipliers", rows, cfg)
+		runs := record(bench.RunTable(bench.AdderMultSpecs(cfg), bench.MED, cfg))
+		bench.WriteTable(os.Stdout, bench.TitleV, bench.Rows(runs), cfg)
 		fmt.Println()
 	}
 	if want("dd") {
-		ran = true
-		bench.WriteDDScalability(os.Stdout, cfg)
+		runs := record(bench.RunDDScalability(cfg))
+		bench.WriteDDScalability(os.Stdout, bench.Rows(runs), cfg)
 		fmt.Println()
 	}
 	if want("multi") {
-		ran = true
-		specs := bench.AdderMultSpecs(cfg)
-		rows := bench.RunMulti(specs, cfg)
+		sessions, runs := bench.RunMulti(bench.AdderMultSpecs(cfg), cfg)
+		rep.Sessions = append(rep.Sessions, sessions...)
+		rows := bench.MultiRows(sessions, record(runs))
 		bench.WriteMultiTable(os.Stdout, rows, cfg)
 		fmt.Println()
+		for _, r := range rows {
+			mismatch = mismatch || r.Mismatch
+		}
 	}
 	if *table == "approx" { // not part of -table all: it reruns the suite twice
-		ran = true
-		specs := bench.AdderMultSpecs(cfg)
-		rows := bench.RunApproxTable(specs, bench.ER, cfg)
-		bench.WriteApproxTable(os.Stdout, rows, cfg)
+		runs := record(bench.RunApproxTable(bench.AdderMultSpecs(cfg), bench.ER, cfg))
+		bench.WriteApproxTable(os.Stdout, bench.ApproxRows(runs, cfg), cfg)
 		fmt.Println()
 		// The scaling rows: adder and multiplier sizes the exact
 		// reference cannot reach.
-		scale := bench.RunApproxScaleTable(bench.ApproxScaleSpecs(cfg), cfg)
-		bench.WriteApproxScaleTable(os.Stdout, scale, cfg)
+		scale := record(bench.RunApproxScaleTable(bench.ApproxScaleSpecs(cfg), cfg))
+		bench.WriteApproxScaleTable(os.Stdout, bench.ApproxScaleRows(scale), cfg)
 		fmt.Println()
 	}
 	if want("6") {
-		ran = true
 		// Table VI compares VACSEM against the DPLL baseline only.
 		cfg6 := cfg
 		cfg6.Methods = []core.Method{core.MethodVACSEM, core.MethodDPLL}
-		specs := bench.EPFLBACSSpecs(cfg6)
-		rows := bench.RunTable(specs, bench.ER, cfg6)
-		bench.WriteTable6(os.Stdout, rows, cfg6)
+		runs := record(bench.RunTable(bench.EPFLBACSSpecs(cfg6), bench.ER, cfg6))
+		bench.WriteTable6(os.Stdout, bench.Rows(runs), cfg6)
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown -table %q (want 3, 4, 5, 6, dd, multi, approx or all)\n", *table)
@@ -208,6 +211,10 @@ func run() (exitCode int) {
 			fmt.Fprintf(os.Stderr, "report written to %s (%d runs, %d sessions)\n",
 				path, len(rep.Runs), len(rep.Sessions))
 		}
+	}
+	if mismatch {
+		fmt.Fprintln(os.Stderr, "vacsem-bench: multi-metric session values differ from their standalone runs")
+		exitCode = 1
 	}
 	if *metricsFmt != "" {
 		if err := obs.WriteMetrics(os.Stderr, *metricsFmt); err != nil {

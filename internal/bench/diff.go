@@ -55,20 +55,6 @@ type DiffResult struct {
 // HasRegressions reports whether the gate should fail.
 func (d *DiffResult) HasRegressions() bool { return len(d.Regressions) > 0 }
 
-// runStatus reduces a record's outcome to a comparable label.
-func runStatus(r *RunRecord) string {
-	switch {
-	case r.Err != "":
-		return "error"
-	case r.TimedOut:
-		return "timeout"
-	case r.Infeasible:
-		return "infeasible"
-	default:
-		return "ok"
-	}
-}
-
 func runKey(r *RunRecord) string {
 	return fmt.Sprintf("%s/%s/%s/v%d", r.Bench, r.Metric, r.Method, r.Version)
 }
@@ -116,7 +102,7 @@ func Diff(old, new *Report) *DiffResult {
 // diffRun classifies one matched pair.
 func diffRun(key string, or, nr *RunRecord) DiffEntry {
 	e := DiffEntry{Key: key, OldSeconds: or.Seconds, NewSeconds: nr.Seconds}
-	ost, nst := runStatus(or), runStatus(nr)
+	ost, nst := or.outcome().String(), nr.outcome().String()
 	if ost != nst {
 		switch {
 		case ost == "ok":
@@ -177,7 +163,9 @@ func (d *DiffResult) WriteTable(w io.Writer) {
 }
 
 // LoadReport reads a bench report JSON file (as written by -report or
-// the default BENCH_<ts>.json path).
+// the default BENCH_<ts>.json path). A report with two runs under one
+// (bench, metric, method, version) key is rejected: Diff matches runs
+// by that key, so a duplicate would hide a run from the gate.
 func LoadReport(path string) (*Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -187,6 +175,14 @@ func LoadReport(path string) (*Report, error) {
 	var r Report
 	if err := json.NewDecoder(f).Decode(&r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	seen := make(map[string]bool, len(r.Runs))
+	for i := range r.Runs {
+		key := runKey(&r.Runs[i])
+		if seen[key] {
+			return nil, fmt.Errorf("%s: duplicate run %s", path, key)
+		}
+		seen[key] = true
 	}
 	return &r, nil
 }

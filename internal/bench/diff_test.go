@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -136,4 +137,32 @@ func TestCommittedReportsDiffClean(t *testing.T) {
 			t.Errorf("%s: self-diff regressions %+v", p, d.Regressions)
 		}
 	}
+}
+
+// A report with two runs under one key would hide one of them from the
+// gate, so LoadReport rejects it.
+func TestLoadReportRejectsDuplicateRuns(t *testing.T) {
+	rep := baselineReport()
+	rep.Runs = append(rep.Runs, rep.Runs[0])
+	rep.Runs[3].Count = "99"
+	if _, err := LoadReport(writeReport(t, rep)); err == nil || !strings.Contains(err.Error(), "duplicate run RCA-8/ER/vacsem/v1") {
+		t.Errorf("duplicate run: err = %v", err)
+	}
+	if _, err := LoadReport(writeReport(t, baselineReport())); err != nil {
+		t.Errorf("distinct runs: %v", err)
+	}
+}
+
+func writeReport(t *testing.T, rep *Report) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "report.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := rep.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"vacsem/internal/core"
@@ -85,7 +84,7 @@ func newRunRecord(bench, metric string, m core.Method, version int, res *core.Re
 	switch classify(err) {
 	case outcomeTimeout:
 		rec.TimedOut = true
-	case outcomeTooLarge:
+	case outcomeTooLarge, outcomeBlowUp:
 		rec.Infeasible = true
 	case outcomeError:
 		rec.Err = err.Error()
@@ -130,6 +129,23 @@ func newRunRecord(bench, metric string, m core.Method, version int, res *core.Re
 	return rec
 }
 
+// outcome recovers the outcome classify gave the run. Infeasible
+// covers two outcomes, told apart by the method: only the bdd backend
+// has a node budget to blow.
+func (r *RunRecord) outcome() outcome {
+	switch {
+	case r.Err != "":
+		return outcomeError
+	case r.TimedOut:
+		return outcomeTimeout
+	case r.Infeasible && r.Method == core.MethodBDD.String():
+		return outcomeBlowUp
+	case r.Infeasible:
+		return outcomeTooLarge
+	}
+	return outcomeOK
+}
+
 // MetricRecord is one metric's verified value inside a multi-metric
 // session record.
 type MetricRecord struct {
@@ -140,17 +156,14 @@ type MetricRecord struct {
 
 // SessionRecord is one multi-metric verification session (the -table
 // multi mode): all metrics of one (benchmark, version) pair verified in
-// a single shared-base, task-deduplicated run, plus the matching sum of
-// standalone single-metric runtimes for comparison.
+// a single shared-base, task-deduplicated run. The standalone runs it
+// is compared with are RunRecords under "<bench>/standalone".
 type SessionRecord struct {
-	Bench   string  `json:"bench"`
-	Method  string  `json:"method"`
-	Version int     `json:"version"`
-	Seconds float64 `json:"seconds"`
-	// StandaloneSeconds sums the runtimes of the equivalent standalone
-	// single-metric runs (zero when they were skipped or failed).
-	StandaloneSeconds float64        `json:"standalone_seconds,omitempty"`
-	Metrics           []MetricRecord `json:"metrics,omitempty"`
+	Bench   string         `json:"bench"`
+	Method  string         `json:"method"`
+	Version int            `json:"version"`
+	Seconds float64        `json:"seconds"`
+	Metrics []MetricRecord `json:"metrics,omitempty"`
 	// TasksRequested counts metric output bits before deduplication;
 	// TasksUnique the counting tasks actually solved.
 	TasksRequested int `json:"tasks_requested"`
@@ -222,7 +235,6 @@ type Report struct {
 	SimWorkers int    `json:"sim_workers"`
 	Tables     string `json:"tables"`
 
-	mu       sync.Mutex
 	Runs     []RunRecord     `json:"runs"`
 	Sessions []SessionRecord `json:"sessions,omitempty"`
 	Metrics  *obs.Snapshot   `json:"metrics,omitempty"`
@@ -231,35 +243,15 @@ type Report struct {
 // NewReport creates a report describing one vacsem-bench invocation.
 func NewReport(cfg Config, tables string, now time.Time) *Report {
 	cfg = cfg.withDefaults()
-	suite := "scaled"
-	if cfg.Full {
-		suite = "full"
-	}
 	return &Report{
 		Generated:  now.Format(time.RFC3339),
-		Suite:      suite,
+		Suite:      cfg.suite(),
 		Versions:   cfg.Versions,
 		TimeLimit:  cfg.TimeLimit.String(),
 		Workers:    cfg.Workers,
 		SimWorkers: cfg.SimWorkers,
 		Tables:     tables,
 	}
-}
-
-// Add appends one run record; safe for concurrent use so it can serve
-// directly as Config.OnRun.
-func (r *Report) Add(rec RunRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.Runs = append(r.Runs, rec)
-}
-
-// AddSession appends one multi-metric session record; safe for
-// concurrent use so it can serve directly as Config.OnSession.
-func (r *Report) AddSession(rec SessionRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.Sessions = append(r.Sessions, rec)
 }
 
 // AttachMetrics snapshots the default metrics registry into the report.
@@ -270,8 +262,6 @@ func (r *Report) AttachMetrics() {
 
 // WriteJSON serializes the report.
 func (r *Report) WriteJSON(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)

@@ -54,10 +54,13 @@ echo "==> bench smoke (one iteration per benchmark)"
 go test -run '^$' -bench=. -benchtime=1x ./...
 
 echo "==> multi-metric session smoke (dedup fires, values match standalone)"
-multi_out=$(go run ./cmd/vacsem-bench -table multi -versions 1 -report none)
+# vacsem-bench itself exits 1 on a mismatch; the table is printed first
+# either way.
+multi_status=0
+multi_out=$(go run ./cmd/vacsem-bench -table multi -versions 1 -report none) || multi_status=$?
 echo "$multi_out"
-if echo "$multi_out" | grep -q "MISMATCH"; then
-	echo "multi-metric session values diverged from standalone runs"
+if [ "$multi_status" -ne 0 ] || echo "$multi_out" | grep -q "MISMATCH"; then
+	echo "multi-metric session smoke failed (exit $multi_status): session values must match standalone runs"
 	exit 1
 fi
 
