@@ -41,8 +41,9 @@
 // are compared run-by-run (matched by bench, metric, method and
 // version), a table of both wall times and their ratio is printed, and
 // the exit status is 1 when an exact count or approx flag changed, a
-// completed run now times out, errors or is infeasible, or a run is
-// missing from NEW. Wall time is never gated here; the benchmark/
+// completed run now times out, errors or is infeasible, a run is
+// missing from NEW, or an exact run's decisions or propagations grew
+// by more than 1.10x (on runs with at least 10^4 propagations). Wall time is never gated here; the benchmark/
 // module owns performance. A report that cannot be read, or that holds
 // two runs under one key, exits 2.
 //

@@ -6,6 +6,9 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
+
+	"vacsem/internal/counter"
 )
 
 // The bench count gate: Diff compares two bench reports (old =
@@ -17,10 +20,24 @@ import (
 //     exact and approximate — counts are deterministic, so any mismatch
 //     is a bug, not noise;
 //   - status: a run that used to complete now times out, becomes
-//     infeasible, errors, or disappears from the report.
+//     infeasible, errors, or disappears from the report;
+//   - work: an exact run's decisions or propagations grow by more than
+//     workGate, on a run where either side made at least workFloor
+//     propagations. The search is deterministic, so these counters have
+//     no noise: a growth is a changed search, and a change that alters
+//     the search on purpose commits a new baseline. A shrink by the same
+//     factor is reported as an improvement.
 //
 // Wall times are printed with their ratio but never gated: single runs
 // are too noisy, and benchmark/ owns performance.
+
+// The work gate: the growth factor of a run's decisions or
+// propagations that counts as a regression, and the propagation count
+// below which a run is too small to gate.
+const (
+	workGate  = 1.10
+	workFloor = 10_000
+)
 
 // Diff verdicts, ordered from benign to fatal.
 const (
@@ -139,7 +156,42 @@ func diffRun(key string, or, nr *RunRecord) DiffEntry {
 		return e
 	}
 	e.Verdict = VerdictOK
+	if !or.Approx {
+		e.Verdict, e.Reason = diffWork(&or.Stats, &nr.Stats)
+	}
 	return e
+}
+
+// diffWork gates an exact run's decisions and propagations. Approximate
+// runs are not gated: like their estimates, their work depends on the
+// sampling seed.
+func diffWork(o, n *counter.Stats) (verdict, reason string) {
+	if max(o.Propagations, n.Propagations) < workFloor {
+		return VerdictOK, ""
+	}
+	var grew, shrank []string
+	for _, c := range []struct {
+		name     string
+		old, new uint64
+	}{
+		{"decisions", o.Decisions, n.Decisions},
+		{"propagations", o.Propagations, n.Propagations},
+	} {
+		note := fmt.Sprintf("%s %d -> %d", c.name, c.old, c.new)
+		switch {
+		case float64(c.new) > workGate*float64(c.old):
+			grew = append(grew, note)
+		case workGate*float64(c.new) < float64(c.old):
+			shrank = append(shrank, note)
+		}
+	}
+	switch {
+	case len(grew) > 0:
+		return VerdictRegressed, "work grew: " + strings.Join(grew, ", ")
+	case len(shrank) > 0:
+		return VerdictImproved, "work shrank: " + strings.Join(shrank, ", ")
+	}
+	return VerdictOK, ""
 }
 
 // WriteTable renders the comparison as a delta table plus a one-line

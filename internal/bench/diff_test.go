@@ -115,6 +115,71 @@ func TestDiffClean(t *testing.T) {
 	}
 }
 
+// Decisions and propagations of exact runs are gated at 1.10x on runs
+// with at least 10^4 propagations; a shrink is an improvement, and
+// approximate runs and small runs are not gated.
+func TestDiffWorkCounters(t *testing.T) {
+	withWork := func(dec, prop uint64, approx bool) *Report {
+		r := baselineReport()
+		r.Runs[1].Stats.Decisions, r.Runs[1].Stats.Propagations = dec, prop
+		r.Runs[1].Approx = approx
+		return r
+	}
+	for _, tc := range []struct {
+		name     string
+		old, new *Report
+		verdict  string
+	}{
+		{"propagations grow", withWork(1000, 50000, false), withWork(1000, 60000, false), VerdictRegressed},
+		{"decisions grow", withWork(1000, 50000, false), withWork(1200, 50000, false), VerdictRegressed},
+		{"within gate", withWork(1000, 50000, false), withWork(1090, 54000, false), VerdictOK},
+		{"shrink", withWork(1000, 50000, false), withWork(500, 50000, false), VerdictImproved},
+		{"below floor", withWork(10, 5000, false), withWork(50, 9999, false), VerdictOK},
+		{"approx", withWork(1000, 50000, true), withWork(2000, 90000, true), VerdictOK},
+	} {
+		d := Diff(tc.old, tc.new)
+		for _, e := range d.Entries {
+			if e.Key == "RCA-8/MED/vacsem/v1" && e.Verdict != tc.verdict {
+				t.Errorf("%s: verdict %s (%s), want %s", tc.name, e.Verdict, e.Reason, tc.verdict)
+			}
+		}
+	}
+}
+
+// The gate would have caught the propagation growth the native-XOR
+// change committed, and the current CI baselines pass it against the
+// reports committed after them.
+func TestDiffWorkCommittedHistory(t *testing.T) {
+	load := func(name string) *Report {
+		r, err := LoadReport("../../" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	d := Diff(load("BENCH_20260806T064907.json"), load("BENCH_20260808T073516.json"))
+	if len(d.Regressions) != 8 {
+		t.Errorf("native-XOR pair: %d regressions, want 8: %+v", len(d.Regressions), d.Regressions)
+	}
+	found := false
+	for _, e := range d.Regressions {
+		if e.Key == "adder16/ER/vacsem/v0" {
+			found = strings.Contains(e.Reason, "propagations 89099 -> 142116")
+		}
+	}
+	if !found {
+		t.Errorf("adder16/ER/vacsem/v0 not flagged with its propagation growth: %+v", d.Regressions)
+	}
+	for _, pair := range [][2]string{
+		{"BENCH_20260808T085213.json", "BENCH_20261017T094706.json"},
+		{"BENCH_20261017T093530.json", "BENCH_20261017T095001.json"},
+	} {
+		if d := Diff(load(pair[0]), load(pair[1])); d.HasRegressions() {
+			t.Errorf("%s -> %s: %+v", pair[0], pair[1], d.Regressions)
+		}
+	}
+}
+
 // Every committed BENCH_*.json keeps loading and diffs clean against
 // itself, so the history stays readable as report fields come and go.
 func TestCommittedReportsDiffClean(t *testing.T) {

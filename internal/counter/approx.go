@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
+	"slices"
 
 	"vacsem/internal/cnf"
 	"vacsem/internal/obs"
@@ -308,7 +308,7 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 		// Hash rows list their variables in sampling order; keep the
 		// canonical (sorted) row invariant regardless of caller order.
 		sampling = append([]int32(nil), sampling...)
-		sort.Slice(sampling, func(i, j int) bool { return sampling[i] < sampling[j] })
+		slices.Sort(sampling)
 	}
 	res.SupportBefore = len(sampling)
 	sampling = MinimizeSupport(f, sampling)
@@ -391,7 +391,7 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 		if widened > res.Delta {
 			res.Delta = widened
 		}
-		sort.Slice(estimates, func(i, j int) bool { return estimates[i].Cmp(estimates[j]) < 0 })
+		slices.SortFunc(estimates, (*big.Int).Cmp)
 		res.Count = estimates[t/2]
 		res.Rounds = t
 		res.BestEffort = true
@@ -476,7 +476,7 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 			return res, nil
 		}
 	}
-	sort.Slice(estimates, func(i, j int) bool { return estimates[i].Cmp(estimates[j]) < 0 })
+	slices.SortFunc(estimates, (*big.Int).Cmp)
 	res.Count = estimates[len(estimates)/2]
 	res.Rounds = rounds
 	return res, nil

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/big"
 	"slices"
-	"sort"
 )
 
 // component is a maximal set of free variables connected through active
@@ -87,9 +86,9 @@ func (s *Solver) findComponents(vars []int32) (comps []*component, freeCount int
 				}
 			}
 		}
-		sort.Slice(comp.vars, func(i, j int) bool { return comp.vars[i] < comp.vars[j] })
-		sort.Slice(comp.clauses, func(i, j int) bool { return comp.clauses[i] < comp.clauses[j] })
-		sort.Slice(comp.xors, func(i, j int) bool { return comp.xors[i] < comp.xors[j] })
+		slices.Sort(comp.vars)
+		slices.Sort(comp.clauses)
+		slices.Sort(comp.xors)
 		comps = append(comps, comp)
 	}
 	return comps, freeCount
@@ -109,6 +108,17 @@ func (s *Solver) hasActiveClause(v int32) bool {
 	return s.hasActiveXor(v)
 }
 
+// Packed clause tuples (see cacheKey): a residual clause of at most 3
+// free-literal codes packs into one uint64 as
+// (c0+1)<<42 | (c1+1)<<21 | (c2+1), with 0 for a missing position. A
+// component of fewer than packMaxVars variables keeps every code below
+// packMask, so the fields never overlap.
+const (
+	packBits    = 21
+	packMask    = 1<<packBits - 1
+	packMaxVars = 1 << (packBits - 1)
+)
+
 // cacheKey canonicalizes the residual component into a solver-independent
 // content key: the component's variables are remapped to dense local
 // indices in their sorted order, every active clause is reduced to its
@@ -121,6 +131,14 @@ func (s *Solver) hasActiveClause(v int32) bool {
 // formulas (the shared cross-sub-miter cache). Clause ids never enter
 // the key, so the historic wide-clause position-mask aliasing cannot
 // recur by construction.
+//
+// Tseitin residuals are almost all clauses of at most 3 literals, so the
+// tuples are sorted as packed integers: unsigned order on the packed
+// form is lexicographic order on the tuples, with a shorter prefix first
+// (a missing position packs as 0). A component with a longer clause, or
+// with packMaxVars or more variables, sorts the tuples themselves
+// instead. Both orders are the same, so the key bytes do not depend on
+// which one ran.
 //
 // Active parity rows are serialized into a second section after the
 // clause tuples: per row a header uvarint(len<<1 | rhs) — rhs being the
@@ -135,6 +153,8 @@ func (s *Solver) cacheKey(comp *component) string {
 	}
 	lits := s.keyLits[:0]
 	cls := s.keyCls[:0]
+	packed := s.keyPacked[:0]
+	pack := len(comp.vars) < packMaxVars
 	for _, ci := range comp.clauses {
 		start := len(lits)
 		for _, l := range s.clauses[ci] {
@@ -151,20 +171,46 @@ func (s *Solver) cacheKey(comp *component) string {
 		seg := lits[start:len(lits):len(lits)]
 		slices.Sort(seg)
 		cls = append(cls, seg)
-	}
-	sort.Slice(cls, func(i, j int) bool { return slices.Compare(cls[i], cls[j]) < 0 })
-	buf := s.keyBuf[:0]
-	for _, seg := range cls {
-		buf = binary.AppendUvarint(buf, uint64(len(seg)))
-		for _, code := range seg {
-			buf = binary.AppendUvarint(buf, uint64(code))
+		if pack && len(seg) > 3 {
+			pack = false
+		}
+		if pack {
+			var p uint64
+			for i, code := range seg {
+				p |= uint64(code+1) << (packBits * (2 - i))
+			}
+			packed = append(packed, p)
 		}
 	}
-	// XOR section: canonical rows (free-variable ranks + effective rhs),
+	buf := s.keyBuf[:0]
+	if pack {
+		slices.Sort(packed)
+		for _, p := range packed {
+			f := [3]uint64{p >> (2 * packBits), p >> packBits & packMask, p & packMask}
+			n := 0
+			for n < 3 && f[n] != 0 {
+				n++
+			}
+			buf = binary.AppendUvarint(buf, uint64(n))
+			for _, x := range f[:n] {
+				buf = binary.AppendUvarint(buf, x-1)
+			}
+		}
+	} else {
+		slices.SortFunc(cls, slices.Compare)
+		for _, seg := range cls {
+			buf = binary.AppendUvarint(buf, uint64(len(seg)))
+			for _, code := range seg {
+				buf = binary.AppendUvarint(buf, uint64(code))
+			}
+		}
+	}
+	// XOR section: canonical rows (header, then free-variable ranks),
 	// sorted, always present so clause-only keys cannot alias mixed ones.
-	xrs := make([][]int32, 0, len(comp.xors))
+	xrs := s.keyXrs[:0]
 	for _, xi := range comp.xors {
 		start := len(lits)
+		lits = append(lits, 0) // header, set below
 		for _, v := range s.xors[xi].Vars {
 			if s.assign[v] != unassigned {
 				continue
@@ -172,20 +218,20 @@ func (s *Solver) cacheKey(comp *component) string {
 			lits = append(lits, s.varRank[v]) // row Vars sorted => ranks sorted
 		}
 		seg := lits[start:len(lits):len(lits)]
-		hdr := int32(len(seg)) << 1
+		seg[0] = int32(len(seg)-1) << 1
 		if s.xors[xi].Rhs != (s.xorPar[xi] == 1) {
-			hdr |= 1
+			seg[0] |= 1
 		}
-		xrs = append(xrs, append([]int32{hdr}, seg...))
+		xrs = append(xrs, seg)
 	}
-	sort.Slice(xrs, func(i, j int) bool { return slices.Compare(xrs[i], xrs[j]) < 0 })
+	slices.SortFunc(xrs, slices.Compare)
 	buf = binary.AppendUvarint(buf, uint64(len(xrs)))
 	for _, seg := range xrs {
 		for _, code := range seg {
 			buf = binary.AppendUvarint(buf, uint64(code))
 		}
 	}
-	s.keyLits, s.keyCls, s.keyBuf = lits[:0], cls[:0], buf
+	s.keyLits, s.keyCls, s.keyPacked, s.keyXrs, s.keyBuf = lits[:0], cls[:0], packed[:0], xrs[:0], buf
 	return string(buf)
 }
 
@@ -290,12 +336,15 @@ func (s *Solver) branchCount(comp *component) *big.Int {
 // clauses, weighting short clauses higher (a VSADS-flavoured static score
 // recomputed per component, which adapts dynamically as the residual
 // formula shrinks).
+//
+// Scores accumulate in the solver's dense varScore array. Every free
+// variable of the component's clauses and rows is in comp.vars, so
+// zeroing those entries during the final scan leaves the array all zero
+// for the next call.
 func (s *Solver) pickVar(comp *component) int32 {
-	best := comp.vars[0]
-	bestScore := -1
+	score := s.varScore
 	// Score per variable: sum over active clauses of 1, weighted 4 for
 	// binary residual clauses (they propagate immediately when decided).
-	score := make(map[int32]int, len(comp.vars))
 	for _, ci := range comp.clauses {
 		w := 1
 		if int32(len(s.clauses[ci]))-s.nFalse[ci] == 2 {
@@ -321,11 +370,14 @@ func (s *Solver) pickVar(comp *component) int32 {
 			}
 		}
 	}
+	best := comp.vars[0]
+	bestScore := -1
 	for _, v := range comp.vars {
 		if sc := score[v]; sc > bestScore {
 			bestScore = sc
 			best = v
 		}
+		score[v] = 0
 	}
 	return best
 }

@@ -239,10 +239,15 @@ type Solver struct {
 	// Cache built per Count call; nil when caching is disabled.
 	cache *Cache
 	// canonical-key scratch (see cacheKey)
-	varRank []int32   // var -> dense local index within the current component
-	keyLits []int32   // flat free-literal codes, clause by clause
-	keyCls  [][]int32 // per-clause views into keyLits
-	keyBuf  []byte    // serialized key
+	varRank   []int32   // var -> dense local index within the current component
+	keyLits   []int32   // flat free-literal codes, clause by clause, then xor rows
+	keyCls    [][]int32 // per-clause views into keyLits
+	keyPacked []uint64  // clauses of at most 3 literals, packed
+	keyXrs    [][]int32 // per-xor-row views into keyLits
+	keyBuf    []byte    // serialized key
+
+	// branching scratch: var -> score, all zero between pickVar calls
+	varScore []int
 
 	// sim hook scratch
 	gateSeen   []uint32
@@ -313,6 +318,7 @@ func New(f *cnf.Formula, cfg Config) *Solver {
 	s.level = make([]int32, f.NumVars+1)
 	s.assign = make([]int8, f.NumVars+1)
 	s.varRank = make([]int32, f.NumVars+1)
+	s.varScore = make([]int, f.NumVars+1)
 	s.nTrue = make([]int32, len(s.clauses))
 	s.nFalse = make([]int32, len(s.clauses))
 	s.varSeen = make([]uint32, f.NumVars+1)

@@ -3,7 +3,7 @@ package counter
 import (
 	"context"
 	"math/big"
-	"sort"
+	"slices"
 	"time"
 
 	"vacsem/internal/obs"
@@ -137,7 +137,7 @@ func (s *Solver) trySimulate(comp *component) (*big.Int, bool) {
 	// into AND/AND-NOT check instructions on the program's consistency
 	// accumulator (complement edges pick the polarity, so a decided
 	// Buf/Not chain costs no extra instructions).
-	sort.Slice(gates, func(i, j int) bool { return gates[i] < gates[j] })
+	slices.Sort(gates)
 	pinned := make([]sim.PinnedInput, len(pinnedInputs))
 	for i, n := range pinnedInputs {
 		pinned[i] = sim.PinnedInput{Node: n, Val: s.assign[s.f.VarOfNode[n]] == 1}
