@@ -26,7 +26,9 @@ import (
 //     propagations. The search is deterministic, so these counters have
 //     no noise: a growth is a changed search, and a change that alters
 //     the search on purpose commits a new baseline. A shrink by the same
-//     factor is reported as an improvement.
+//     factor is reported as an improvement. An exact run that made
+//     simulation calls and now makes none has stopped simulating, a
+//     regression at any size.
 //
 // Wall times are printed with their ratio but never gated: single runs
 // are too noisy, and benchmark/ owns performance.
@@ -162,10 +164,13 @@ func diffRun(key string, or, nr *RunRecord) DiffEntry {
 	return e
 }
 
-// diffWork gates an exact run's decisions and propagations. Approximate
-// runs are not gated: like their estimates, their work depends on the
-// sampling seed.
+// diffWork gates an exact run's decisions, propagations and simulation
+// calls. Approximate runs are not gated: like their estimates, their
+// work depends on the sampling seed.
 func diffWork(o, n *counter.Stats) (verdict, reason string) {
+	if o.SimCalls > 0 && n.SimCalls == 0 {
+		return VerdictRegressed, fmt.Sprintf("stopped simulating: sim calls %d -> 0", o.SimCalls)
+	}
 	if max(o.Propagations, n.Propagations) < workFloor {
 		return VerdictOK, ""
 	}

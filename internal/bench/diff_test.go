@@ -117,12 +117,18 @@ func TestDiffClean(t *testing.T) {
 
 // Decisions and propagations of exact runs are gated at 1.10x on runs
 // with at least 10^4 propagations; a shrink is an improvement, and
-// approximate runs and small runs are not gated.
+// approximate runs and small runs are not gated. An exact run that
+// stops simulating regresses at any size.
 func TestDiffWorkCounters(t *testing.T) {
 	withWork := func(dec, prop uint64, approx bool) *Report {
 		r := baselineReport()
 		r.Runs[1].Stats.Decisions, r.Runs[1].Stats.Propagations = dec, prop
 		r.Runs[1].Approx = approx
+		return r
+	}
+	withSim := func(calls uint64, approx bool) *Report {
+		r := withWork(10, 500, approx)
+		r.Runs[1].Stats.SimCalls = calls
 		return r
 	}
 	for _, tc := range []struct {
@@ -136,6 +142,10 @@ func TestDiffWorkCounters(t *testing.T) {
 		{"shrink", withWork(1000, 50000, false), withWork(500, 50000, false), VerdictImproved},
 		{"below floor", withWork(10, 5000, false), withWork(50, 9999, false), VerdictOK},
 		{"approx", withWork(1000, 50000, true), withWork(2000, 90000, true), VerdictOK},
+		{"stopped simulating", withSim(3, false), withSim(0, false), VerdictRegressed},
+		{"fewer sim calls", withSim(3, false), withSim(1, false), VerdictOK},
+		{"started simulating", withSim(0, false), withSim(2, false), VerdictOK},
+		{"approx stopped simulating", withSim(3, true), withSim(0, true), VerdictOK},
 	} {
 		d := Diff(tc.old, tc.new)
 		for _, e := range d.Entries {
@@ -147,8 +157,9 @@ func TestDiffWorkCounters(t *testing.T) {
 }
 
 // The gate would have caught the propagation growth the native-XOR
-// change committed, and the current CI baselines pass it against the
-// reports committed after them.
+// change committed, and the two adder runs it stopped simulating. The
+// CI baselines pass it against the reports committed after them, and
+// each earlier baseline against the one that replaced it.
 func TestDiffWorkCommittedHistory(t *testing.T) {
 	load := func(name string) *Report {
 		r, err := LoadReport("../../" + name)
@@ -158,21 +169,27 @@ func TestDiffWorkCommittedHistory(t *testing.T) {
 		return r
 	}
 	d := Diff(load("BENCH_20260806T064907.json"), load("BENCH_20260808T073516.json"))
-	if len(d.Regressions) != 8 {
-		t.Errorf("native-XOR pair: %d regressions, want 8: %+v", len(d.Regressions), d.Regressions)
+	if len(d.Regressions) != 10 {
+		t.Errorf("native-XOR pair: %d regressions, want 10: %+v", len(d.Regressions), d.Regressions)
 	}
-	found := false
+	want := map[string]string{
+		"adder16/ER/vacsem/v0": "propagations 89099 -> 142116",
+		"adder32/ER/vacsem/v1": "stopped simulating: sim calls 20 -> 0",
+	}
 	for _, e := range d.Regressions {
-		if e.Key == "adder16/ER/vacsem/v0" {
-			found = strings.Contains(e.Reason, "propagations 89099 -> 142116")
+		if reason, ok := want[e.Key]; ok && strings.Contains(e.Reason, reason) {
+			delete(want, e.Key)
 		}
 	}
-	if !found {
-		t.Errorf("adder16/ER/vacsem/v0 not flagged with its propagation growth: %+v", d.Regressions)
+	for key, reason := range want {
+		t.Errorf("%s not flagged with %q: %+v", key, reason, d.Regressions)
 	}
 	for _, pair := range [][2]string{
 		{"BENCH_20260808T085213.json", "BENCH_20261017T094706.json"},
 		{"BENCH_20261017T093530.json", "BENCH_20261017T095001.json"},
+		{"BENCH_20260808T085213.json", "BENCH_20261019T102206.json"},
+		{"BENCH_20261017T093530.json", "BENCH_20261019T102238.json"},
+		{"BENCH_20261019T050207.json", "BENCH_20261019T102445.json"},
 	} {
 		if d := Diff(load(pair[0]), load(pair[1])); d.HasRegressions() {
 			t.Errorf("%s -> %s: %+v", pair[0], pair[1], d.Regressions)

@@ -22,7 +22,7 @@ import (
 
 // miterFormulas builds the miter of exact and approx and encodes one
 // formula per output.
-func miterFormulas(b *testing.B, build func(exact, approx *circuit.Circuit) (*circuit.Circuit, error), exact, approx *circuit.Circuit) []*cnf.Formula {
+func miterFormulas(b testing.TB, build func(exact, approx *circuit.Circuit) (*circuit.Circuit, error), exact, approx *circuit.Circuit) []*cnf.Formula {
 	b.Helper()
 	m, err := build(exact, approx)
 	if err != nil {

@@ -47,10 +47,18 @@ func (s *Solver) inActiveBinary(v int32) bool {
 // It reports false when the current assignment itself is contradictory
 // (both phases of some variable fail), meaning the component has zero
 // models.
+//
+// A probe that succeeds marks every literal it assigned with the current
+// probe epoch, and a marked literal is not probed again: if x is implied
+// by u, then UP(A ∪ {x}) ⊆ UP(A ∪ {u}), which has no conflict, so probing
+// x would succeed, learn nothing and assert nothing. The epoch moves on
+// at every pass and after every failed literal, the only points where
+// the assignment or the learned-clause database changes inside a pass.
 func (s *Solver) failedLiteralFixpoint(vars []int32) bool {
 	var cands []int32
 	for {
 		cands = s.probeCandidates(vars, cands)
+		s.nextProbeEpoch()
 		changed := false
 		for _, v := range cands {
 			if s.assign[v] != unassigned {
@@ -59,37 +67,66 @@ func (s *Solver) failedLiteralFixpoint(vars []int32) bool {
 			if s.checkAbort() {
 				return true // let the caller notice the abort flag
 			}
-			mark := len(s.trail)
-			s.curLevel++
-			s.propQ = append(s.propQ, propItem{v, reasonDecision})
-			okPos := s.propagate()
-			s.undoTo(mark)
-			s.curLevel--
-			if !okPos {
-				s.stats.FailedLiterals++
-				s.propQ = append(s.propQ, propItem{-v, reasonAsserted})
-				if !s.propagate() {
-					return false
-				}
-				changed = true
+			var forced int32
+			switch {
+			case !s.probe(v):
+				forced = -v
+			case !s.probe(-v):
+				forced = v
+			default:
 				continue
 			}
-			s.curLevel++
-			s.propQ = append(s.propQ, propItem{-v, reasonDecision})
-			okNeg := s.propagate()
-			s.undoTo(mark)
-			s.curLevel--
-			if !okNeg {
-				s.stats.FailedLiterals++
-				s.propQ = append(s.propQ, propItem{v, reasonAsserted})
-				if !s.propagate() {
-					return false
-				}
-				changed = true
+			if !s.assertFailed(forced) {
+				return false
 			}
+			changed = true
 		}
 		if !changed {
 			return true
 		}
+	}
+}
+
+// probe tentatively assigns lit one level up and propagates, then undoes
+// it. It reports whether the propagation ended without a conflict. A
+// literal marked by a successful probe of the current epoch is known to
+// succeed and is not propagated again.
+func (s *Solver) probe(lit int32) bool {
+	if s.probed[litIndex(lit)] == s.probeEpoch {
+		return true
+	}
+	mark := len(s.trail)
+	s.curLevel++
+	s.propQ = append(s.propQ, propItem{lit, reasonDecision})
+	ok := s.propagate()
+	if ok {
+		for _, l := range s.trail[mark:] {
+			s.probed[litIndex(l)] = s.probeEpoch
+		}
+	}
+	s.undoTo(mark)
+	s.curLevel--
+	return ok
+}
+
+// assertFailed asserts lit, the complement of a failed probe, and
+// propagates it. The assignment (and, through the failed probe's
+// conflict analysis, the learned clauses) changed, so the probe marks
+// are stale and the epoch moves on.
+func (s *Solver) assertFailed(lit int32) bool {
+	s.stats.FailedLiterals++
+	s.propQ = append(s.propQ, propItem{lit, reasonAsserted})
+	ok := s.propagate()
+	s.nextProbeEpoch()
+	return ok
+}
+
+// nextProbeEpoch invalidates every probe mark. Epoch 0 is never current,
+// so on wraparound the marks are cleared and counting restarts at 1.
+func (s *Solver) nextProbeEpoch() {
+	s.probeEpoch++
+	if s.probeEpoch == 0 {
+		clear(s.probed)
+		s.probeEpoch = 1
 	}
 }

@@ -118,7 +118,7 @@ echo "==> bench count gate (vacsem-bench -diff vs committed baseline)"
 # flag changed, a completed run now times out, errors or is infeasible,
 # or a run went missing: the product is a count. Wall time is printed,
 # not gated; benchmark/ owns performance.
-bench_baseline=BENCH_20260808T085213.json
+bench_baseline=BENCH_20261019T102206.json
 go run ./cmd/vacsem-bench -table 4 -versions 2 -timelimit 10s \
 	-report "$apxdir/bench_new.json" >/dev/null
 go run ./cmd/vacsem-bench -diff "$bench_baseline" "$apxdir/bench_new.json"
@@ -126,7 +126,7 @@ go run ./cmd/vacsem-bench -diff "$bench_baseline" "$apxdir/bench_new.json"
 echo "==> bench MED count gate (Table V vs committed baseline)"
 # The Table IV baseline has no MED row; this gate covers the MED counts
 # of every backend on adders and multipliers the same way.
-med_baseline=BENCH_20261017T093530.json
+med_baseline=BENCH_20261019T102238.json
 go run ./cmd/vacsem-bench -table 5 -versions 2 -timelimit 10s \
 	-report "$apxdir/bench_med.json" >/dev/null
 go run ./cmd/vacsem-bench -diff "$med_baseline" "$apxdir/bench_med.json"
@@ -135,7 +135,7 @@ echo "==> bench DD count gate (footnote-2 table vs committed baseline)"
 # Tables IV and V run only vacsem, dpll and enum; this gate covers the
 # bdd backend's counts and its blow-up rows. Every completed row takes
 # a few seconds at most, far inside the 120 s limit.
-dd_baseline=BENCH_20261019T050207.json
+dd_baseline=BENCH_20261019T102445.json
 go run ./cmd/vacsem-bench -table dd -full -timelimit 120s \
 	-report "$apxdir/bench_dd.json" >/dev/null
 go run ./cmd/vacsem-bench -diff "$dd_baseline" "$apxdir/bench_dd.json"
