@@ -104,6 +104,22 @@ func TestExperimentsQuotesMatchReports(t *testing.T) {
 		{"BENCH_20261019T050207.json", func(sb *strings.Builder, runs []RunRecord, cfg Config) {
 			WriteDDScalability(sb, Rows(runs), cfg)
 		}},
+		{"BENCH_20261019T125007.json", func(sb *strings.Builder, runs []RunRecord, cfg Config) {
+			var table, scale []RunRecord
+			for _, r := range runs {
+				if r.Approx {
+					cfg.Epsilon, cfg.Delta = r.Epsilon, r.Delta
+				}
+				if strings.HasSuffix(r.Bench, "/scale") {
+					scale = append(scale, r)
+				} else {
+					table = append(table, r)
+				}
+			}
+			WriteApproxTable(sb, ApproxRows(table, cfg), cfg)
+			sb.WriteString("\n")
+			WriteApproxScaleTable(sb, ApproxScaleRows(scale), cfg)
+		}},
 	} {
 		rep, err := LoadReport("../../" + tc.report)
 		if err != nil {

@@ -16,9 +16,11 @@ import (
 // (ε, δ) approximate model counting by XOR streamlining + cell counting
 // (the ApproxMC algorithm family): random parity constraints over a
 // sampling set partition the solution space into hash cells, a cell
-// small enough to count exactly is counted with the Gauss-aware exact
-// engine, and the cell count scaled by the number of cells estimates the
-// total. The median over independent rounds gives
+// small enough to count exactly is counted exactly — by simulating its
+// affine input subspace (cell.go) when the controller accepts it, else
+// with the Gauss-aware DPLL engine — and the cell count scaled by the
+// number of cells estimates the total. The median over independent
+// rounds gives
 //
 //	Pr[ count/(1+ε) <= estimate <= (1+ε)*count ] >= 1-δ.
 //
@@ -94,7 +96,9 @@ type ApproxConfig struct {
 	// identical tasks solve each probe once). Estimates are identical
 	// with or without it.
 	Probes *ProbeCache
-	// Solver configures the exact engine used for cell counting. A nil
+	// Solver configures the exact engine used for cell counting. With
+	// Solver.EnableSim, a cell of an encoded circuit cone that
+	// Solver.SimVerdict accepts is simulated instead (cell.go). A nil
 	// Solver.Cache is replaced by one private cache shared across all
 	// probes of the call (content keys make that sound).
 	Solver Config
@@ -333,6 +337,7 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 	if cfg.Probes != nil {
 		fkey = f.ContentKey()
 	}
+	cells := newCellSim(f, solverCfg)
 
 	// count returns the exact model count of f streamlined with the
 	// given hash rows, accumulating engine stats into the result. When a
@@ -349,18 +354,8 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 				return c, nil
 			}
 		}
-		g := *f
-		g.Xors = make([]cnf.XorClause, 0, len(f.Xors)+len(rows))
-		g.Xors = append(g.Xors, f.Xors...)
-		g.Xors = append(g.Xors, rows...)
-		g.GateOfXor = make([]int32, len(f.GateOfXor), len(f.GateOfXor)+len(rows))
-		copy(g.GateOfXor, f.GateOfXor)
-		for range rows {
-			g.GateOfXor = append(g.GateOfXor, -1)
-		}
-		s := New(&g, solverCfg)
-		c, err := s.Count(ctx)
-		res.Stats.Add(s.Stats())
+		c, st, err := countCell(ctx, f, cells, solverCfg, rows)
+		res.Stats.Add(st)
 		if err == nil && cfg.Probes != nil {
 			cfg.Probes.Store(pkey, c)
 		}
@@ -480,4 +475,28 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 	res.Count = estimates[len(estimates)/2]
 	res.Rounds = rounds
 	return res, nil
+}
+
+// countCell counts the models of f ∧ rows: by simulating the cell's
+// affine input subspace when cells (nil when f has no circuit cone to
+// simulate) accepts it, else with a fresh DPLL Solver over f plus the
+// rows.
+func countCell(ctx context.Context, f *cnf.Formula, cells *cellSim, solverCfg Config, rows []cnf.XorClause) (*big.Int, Stats, error) {
+	if cells != nil {
+		if c, st, ok, err := cells.count(ctx, solverCfg, rows); ok {
+			return c, st, err
+		}
+	}
+	g := *f
+	g.Xors = make([]cnf.XorClause, 0, len(f.Xors)+len(rows))
+	g.Xors = append(g.Xors, f.Xors...)
+	g.Xors = append(g.Xors, rows...)
+	g.GateOfXor = make([]int32, len(f.GateOfXor), len(f.GateOfXor)+len(rows))
+	copy(g.GateOfXor, f.GateOfXor)
+	for range rows {
+		g.GateOfXor = append(g.GateOfXor, -1)
+	}
+	s := New(&g, solverCfg)
+	c, err := s.Count(ctx)
+	return c, s.Stats(), err
 }

@@ -115,9 +115,15 @@ type Stats struct {
 	// full cache shard — churn, as opposed to the growth CacheStores
 	// measures.
 	CacheEvictions uint64
-	SimCalls       uint64 // components counted by simulation
-	SimRejected    uint64 // components where the controller declined
-	SimPatterns    uint64 // total patterns simulated
+	// SimCalls counts the model counts made by simulation: residual components,
+	// formulas the engine's session sweep counted whole, and approx hash
+	// cells counted over their affine input subspace.
+	SimCalls    uint64
+	SimRejected uint64 // components where the controller declined
+	// SimPatterns totals the patterns those calls enumerated: 2^k per
+	// component or swept formula over k inputs, 2^(k−rank H) per hash
+	// cell, 0 for a cell whose parity system is inconsistent.
+	SimPatterns uint64
 	// FailedLiterals counts literals forced by implicit BCP.
 	FailedLiterals uint64
 	// Learned counts clauses added by conflict analysis.
@@ -131,7 +137,7 @@ type Stats struct {
 	// asserted before branching.
 	GaussReductions uint64
 	// ApproxProbes counts the hash-cell probes the approx backend
-	// solved with the exact engine (including reused ones).
+	// counted exactly, by simulation or DPLL (including reused ones).
 	ApproxProbes uint64
 	// ApproxProbesReused counts probes answered by the shared probe
 	// cache instead of a fresh exact count — within a task (rounds

@@ -212,7 +212,13 @@ func (c Config) SimVerdict(gates, k int) (reject string, density float64) {
 // the registry counters and d in counter.sim_component_seconds. It
 // returns the Stats a Solver reports for such a count.
 func SimulatedWhole(k int, d time.Duration) Stats {
-	st := Stats{SimCalls: 1, SimPatterns: uint64(1) << uint(k)}
+	return bookSim(uint64(1)<<uint(k), d)
+}
+
+// bookSim books one simulation call over the given number of patterns
+// that ran outside any Solver (a swept formula, an approx hash cell).
+func bookSim(patterns uint64, d time.Duration) Stats {
+	st := Stats{SimCalls: 1, SimPatterns: patterns}
 	addStatsToRegistry(st)
 	hSimSeconds.Observe(d.Seconds())
 	return st

@@ -109,6 +109,12 @@ func (p *Program) NumOutputs() int { return len(p.outputs) }
 func (p *Program) Len() int { return len(p.ins) }
 
 func (p *Program) finish() {
+	p.initPool()
+	mCompiles.Add(1)
+}
+
+// initPool sets up the pool of per-call value arrays.
+func (p *Program) initPool() {
 	p.pool.New = func() any {
 		// Slot 0 is the constant-zero slot: zeroed here and never the
 		// destination of any instruction, so it stays zero across reuse.
@@ -116,7 +122,6 @@ func (p *Program) finish() {
 		v := make([]uint64, p.nSlots*BatchWords)
 		return &v
 	}
-	mCompiles.Add(1)
 }
 
 func (p *Program) getVals() *[]uint64  { return p.pool.Get().(*[]uint64) }

@@ -89,12 +89,16 @@ if ! grep -q '"approx": true' "$apxdir/approx.json" ||
 	exit 1
 fi
 
-echo "==> approx-scaling smoke (adder/mult scale rows render)"
-# The scale rows ride along in -table approx above. At the smoke's tiny
-# time limit the larger rows usually time out (">5"), which only proves
-# the path runs; the mult16 row must be present.
+echo "==> approx-scaling smoke (adder/mult scale rows render and finish)"
+# The scale rows ride along in -table approx above. Hash cells are
+# counted by simulation, so every row finishes far inside the 5 s limit;
+# a row printing ">5" is a regression.
 if ! echo "$apx_bench_out" | grep -q "^mult16 "; then
 	echo "approx-scaling table is missing its mult16 row"
+	exit 1
+fi
+if ! echo "$apx_bench_out" | awk '/^Approx scaling/ { s = 1 } s && $2 == ">5" { bad = 1 } END { exit bad }'; then
+	echo "an approx-scaling row hit the 5 s limit"
 	exit 1
 fi
 
