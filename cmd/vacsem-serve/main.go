@@ -38,6 +38,7 @@ import (
 	"syscall"
 	"time"
 
+	"vacsem/internal/obs/expo"
 	"vacsem/internal/serve"
 	"vacsem/internal/store"
 )
@@ -96,7 +97,7 @@ func run() int {
 		MaxTimeLimit:     *maxLimit,
 		SnapshotPath:     *snapshot,
 	})
-	httpSrv, err := serve.Start(*addr, srv)
+	httpSrv, err := expo.Serve(*addr, srv)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vacsem-serve: %v\n", err)
 		return 1

@@ -14,14 +14,13 @@
 // Methods: vacsem (simulation-enhanced counting, default), dpll (the
 // counter without simulation), enum (exhaustive simulation), bdd (the
 // prior-art decision-diagram flow), approx ((ε, δ) estimation by XOR
-// streamlining). -backend is an alias for -method that overrides it
-// when set.
+// streamlining).
 //
 // The approx backend reports value ± ε at confidence 1-δ: -epsilon and
 // -delta tune the guarantee (defaults 0.8 / 0.2) and -count-seed makes
 // the XOR sampling reproducible:
 //
-//	vacsem -backend approx -epsilon 0.1 -delta 0.05 -count-seed 7 \
+//	vacsem -method approx -epsilon 0.1 -delta 0.05 -count-seed 7 \
 //	    -metric er -exact adder.blif -approx adder_apx.blif
 //
 // -metrics verifies several metrics in one session: the shared base
@@ -79,7 +78,6 @@ func run() (exitCode int) {
 		exactPath   = flag.String("exact", "", "exact circuit file (.blif or .aag)")
 		apxPath     = flag.String("approx", "", "approximate circuit file (.blif or .aag)")
 		method      = flag.String("method", "vacsem", "engine: vacsem, dpll, enum, bdd or approx")
-		backend     = flag.String("backend", "", "alias for -method; overrides it when set")
 		epsilon     = flag.Float64("epsilon", 0, "approx backend: multiplicative tolerance ε (0 = default 0.8)")
 		delta       = flag.Float64("delta", 0, "approx backend: failure probability δ (0 = default 0.2)")
 		countSeed   = flag.Int64("count-seed", 0, "seed for the approx backend's XOR sampling (reproducible runs)")
@@ -126,11 +124,7 @@ func run() (exitCode int) {
 		}
 	}()
 
-	engineName := *method
-	if *backend != "" {
-		engineName = *backend
-	}
-	if err := verify(*metric, *metricList, *exactPath, *apxPath, engineName, *threshold, core.Options{
+	if err := verify(*metric, *metricList, *exactPath, *apxPath, *method, *threshold, core.Options{
 		TimeLimit:          *timeLimit,
 		NoSynth:            *noSynth,
 		Alpha:              *alpha,

@@ -140,63 +140,70 @@ func TestApproxSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestApproxProbeReuseAcrossTasks: two structurally isomorphic output
-// cones over disjoint input halves are distinct plan tasks (the dedup
-// key includes input positions) but extract to identical cone circuits
-// and therefore identical CNF. Because every task draws its hash rows
-// from the session seed alone and the engine shares one probe cache per
-// approx session, the second task must replay the first task's probes
-// from the cache instead of re-counting. Workers is pinned to 1 so the
-// first task completes before the second starts: at least half of all
-// probes are then cache hits, and the two estimates are identical.
-func TestApproxProbeReuseAcrossTasks(t *testing.T) {
-	m := circuit.New("twin_parity")
-	ins := make([]int, 16)
-	for i := range ins {
-		ins[i] = m.AddInput(fmt.Sprintf("x%d", i))
-	}
-	parity := func(lo int) int {
-		g := ins[lo]
-		for i := lo + 1; i < lo+8; i++ {
-			g = m.AddGate(circuit.Xor, g, ins[i])
+// halfPair builds a circuit pair over `halves` disjoint groups of 8
+// inputs: in each group the exact circuit outputs the group's parity and
+// the approximate one the AND of its first two inputs. Each MHD bit then
+// disagrees on 128 of its group's 256 patterns — above the ε=0.8 pivot
+// of 72, so the approx backend hashes it.
+func halfPair(halves int) (exact, apx *circuit.Circuit) {
+	exact, apx = circuit.New("parity"), circuit.New("and2")
+	for h := 0; h < halves; h++ {
+		var ex, ax []int
+		for i := 0; i < 8; i++ {
+			name := fmt.Sprintf("x%d_%d", h, i)
+			ex = append(ex, exact.AddInput(name))
+			ax = append(ax, apx.AddInput(name))
 		}
-		return g
+		g := ex[0]
+		for _, in := range ex[1:] {
+			g = exact.AddGate(circuit.Xor, g, in)
+		}
+		exact.AddOutput(g, fmt.Sprintf("y%d", h))
+		apx.AddOutput(apx.AddGate(circuit.And, ax[0], ax[1]), fmt.Sprintf("y%d", h))
 	}
-	m.AddOutput(parity(0), "d0")
-	m.AddOutput(parity(8), "d1")
-	// Each parity cone has 128 models over its 8 inputs — above the
-	// ε=0.8 pivot of 72, so both tasks go through XOR hashing.
-	res, err := VerifyMiter(context.Background(), "twin_parity", m,
-		[]*big.Int{big.NewInt(1), big.NewInt(1)},
-		Options{Method: MethodApprox, Epsilon: 0.8, Delta: 0.2, Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Subs) != 2 {
-		t.Fatalf("expected 2 sub-miter tasks, got %d", len(res.Subs))
-	}
-	if !res.Subs[0].Approx || !res.Subs[1].Approx {
-		t.Fatalf("expected both tasks hashed, got Approx=%v/%v",
-			res.Subs[0].Approx, res.Subs[1].Approx)
-	}
-	if res.Subs[0].Count.Cmp(res.Subs[1].Count) != 0 {
-		t.Errorf("isomorphic tasks disagree: %s vs %s",
-			res.Subs[0].Count, res.Subs[1].Count)
-	}
-	probes, reused := res.TotalStats.ApproxProbes, res.TotalStats.ApproxProbesReused
-	if probes == 0 {
-		t.Fatal("no hash-cell probes recorded")
-	}
-	if reused == 0 || 2*reused < probes {
-		t.Errorf("cross-task probe reuse too low: %d of %d probes reused", reused, probes)
-	}
-	if reused >= probes {
-		t.Errorf("reuse cannot exceed total probes: %d of %d", reused, probes)
-	}
-	// Both cones are odd-parity functions: P(output=1) = 1/2 each, so
-	// the weighted metric value is exactly 1.
-	if !ratWithinBand(res.Value, big.NewRat(1, 1), 0.8) {
-		t.Errorf("metric value %s outside (1+0.8) band of 1", res.Value.RatString())
+	return exact, apx
+}
+
+// TestIsomorphicConesShareOneTask: the two MHD bits of halfPair(2) are
+// isomorphic cones over disjoint inputs. Cone keys rank inputs within
+// the cone, so the plan makes them one task on every backend: one bit
+// owns it and the other is Shared. Each bit's count equals a standalone
+// run of one cone, scaled by the other group's free inputs; the approx
+// backend gives both bits the same estimate.
+func TestIsomorphicConesShareOneTask(t *testing.T) {
+	exact, apx := halfPair(2)
+	one, oneApx := halfPair(1)
+	mhd := []MetricSpec{{Kind: MetricMHD}}
+	for _, m := range []Method{MethodVACSEM, MethodDPLL, MethodEnum, MethodBDD, MethodApprox} {
+		opt := Options{Method: m, Seed: 5, Workers: 1}
+		sr, err := VerifyMetrics(context.Background(), exact, apx, mhd, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if sr.TasksRequested != 2 || sr.TasksUnique != 1 {
+			t.Errorf("%v: %d bits in %d tasks, want 2 bits in 1 task", m, sr.TasksRequested, sr.TasksUnique)
+		}
+		subs := sr.Results[0].Subs
+		if subs[0].Shared == subs[1].Shared || subs[0].Task != subs[1].Task {
+			t.Errorf("%v: Shared=%v/%v tasks %d/%d, want one owner of one task",
+				m, subs[0].Shared, subs[1].Shared, subs[0].Task, subs[1].Task)
+		}
+		alone, err := Verify(context.Background(), one, oneApx, mhd[0], opt)
+		if err != nil {
+			t.Fatalf("%v standalone: %v", m, err)
+		}
+		want := new(big.Int).Lsh(alone.Count, 8)
+		for k, sub := range subs {
+			if sub.Count.Cmp(want) != 0 {
+				t.Errorf("%v: bit %d count %v, want the standalone cone's %v << 8", m, k, sub.Count, alone.Count)
+			}
+		}
+		if m == MethodApprox && !subs[0].Approx {
+			t.Errorf("approx: the shared task was counted exactly, want it hashed")
+		}
+		if m != MethodApprox && alone.Count.Int64() != 128 {
+			t.Errorf("%v: standalone count %v, want 128", m, alone.Count)
+		}
 	}
 }
 
@@ -217,9 +224,11 @@ func TestApproxPinnedCounts(t *testing.T) {
 		5: {"38912", "90112"},
 	}
 	first := int64(1)
-	if testing.Short() || testutil.RaceEnabled {
-		// Five seeds at two worker counts take ~15 s uninstrumented;
-		// keep the seed whose ER estimate differs from the others.
+	if testutil.RaceEnabled {
+		// Hash cells are simulated, so five seeds at two worker counts
+		// take about 0.7 s uninstrumented (-short included) but about 8 s
+		// under the race detector; there keep the seed whose ER estimate
+		// differs from the others.
 		first = 5
 	}
 	for seed := first; seed <= 5; seed++ {

@@ -2,7 +2,6 @@ package counter
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -44,16 +43,17 @@ import (
 //  2. Independent-support minimization (support.go): the sampling set
 //     is shrunk below the primary inputs before any probe runs, so the
 //     hash width — and with it every probe — gets cheaper.
-//  3. Budgeted probe schedules: hash rows are a pure function of
-//     (seed, round, row, support rank), so probe outcomes are
-//     content-addressable and a shared ProbeCache reuses them across
-//     rounds and across structurally identical tasks; rounds stop as
-//     soon as the median is pinned; and a deadline mid-descent returns
-//     a best-effort estimate over the completed rounds with an honestly
-//     widened δ instead of a timeout.
+//  3. Budgeted probe schedules: the boundary walk starts from the
+//     previous round's boundary and memoizes its probes within a round;
+//     the zero-row cell (the unhashed formula, the only cell that can
+//     recur across rounds, since every round draws fresh rows) is counted
+//     once per call; rounds stop as soon as the median is pinned; and a
+//     deadline mid-descent returns a best-effort estimate over the
+//     completed rounds with an honestly widened δ instead of a timeout.
 var (
 	mApproxRounds  = obs.Default.Counter("counter.approx_rounds")
 	mApproxProbes  = obs.Default.Counter("counter.approx_probes")
+	mProbesReused  = obs.Default.Counter("approx.probes_reused")
 	hRowDensity    = obs.Default.Histogram("approx.hash_row_density", []float64{0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5})
 	hSupportBefore = obs.Default.Histogram("approx.support_before", nil)
 	hSupportAfter  = obs.Default.Histogram("approx.support_after", nil)
@@ -76,9 +76,8 @@ type ApproxConfig struct {
 	Delta float64
 	// Seed makes the XOR sampling deterministic; runs with the same
 	// seed, formula, and parameters return the same estimate. Rows are a
-	// pure function of (Seed, round, row index, support rank), so two
-	// calls on content-identical formulas with one seed draw identical
-	// rows — the property the probe cache builds on.
+	// pure function of (Seed, round, row index, support rank), so no
+	// generator state leaks between rounds, calls or worker schedules.
 	Seed int64
 	// Rounds overrides the δ-derived round count when positive (tests
 	// use 1-5 rounds to stay fast; the guarantee then no longer follows
@@ -91,11 +90,6 @@ type ApproxConfig struct {
 	// means all variables, which is always sound. ApproxCount shrinks
 	// the set with MinimizeSupport before the first probe.
 	Sampling []int32
-	// Probes, when non-nil, memoizes probe outcomes across ApproxCount
-	// calls (the engine shares one per session, so structurally
-	// identical tasks solve each probe once). Estimates are identical
-	// with or without it.
-	Probes *ProbeCache
 	// Solver configures the exact engine used for cell counting. With
 	// Solver.EnableSim, a cell of an encoded circuit cone that
 	// Solver.SimVerdict accepts is simulated instead (cell.go). A nil
@@ -252,30 +246,6 @@ func sampleRows(seed uint64, round int, support []int32) ([]cnf.XorClause, float
 	return rows, densitySum / float64(n)
 }
 
-// probeKey serializes a formula key plus a hash-row prefix into the
-// probe cache key: the formula's content and the exact rows pin the
-// streamlined formula, so equal keys mean equal cell counts.
-func probeKey(fkey string, rows []cnf.XorClause) string {
-	sz := len(fkey) + 8
-	for _, row := range rows {
-		sz += 4 * (len(row.Vars) + 2)
-	}
-	buf := make([]byte, 0, sz)
-	buf = append(buf, fkey...)
-	for _, row := range rows {
-		buf = binary.AppendVarint(buf, int64(len(row.Vars)))
-		for _, v := range row.Vars {
-			buf = binary.AppendVarint(buf, int64(v))
-		}
-		if row.Rhs {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return string(buf)
-}
-
 // ApproxCount estimates the model count of f within multiplicative
 // tolerance (1+ε) with confidence 1-δ. Formulas whose count does not
 // exceed the pivot are counted exactly (Exact is set and the guarantee
@@ -333,31 +303,25 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 		solverCfg.Cache = NewCache(maxEntries, 0)
 	}
 	bigPivot := big.NewInt(pivot)
-	var fkey string
-	if cfg.Probes != nil {
-		fkey = f.ContentKey()
-	}
 	cells := newCellSim(f, solverCfg)
 
 	// count returns the exact model count of f streamlined with the
-	// given hash rows, accumulating engine stats into the result. When a
-	// probe cache is attached, a content-identical probe solved earlier
-	// (by this call or any sibling task sharing the cache) is reused.
+	// given hash rows, accumulating engine stats into the result. Every
+	// round draws fresh rows, so the zero-row cell is the only one that
+	// recurs across rounds: it is counted once and answered from then on.
+	var zero *big.Int
 	count := func(rows []cnf.XorClause) (*big.Int, error) {
 		mApproxProbes.Inc()
 		res.Stats.ApproxProbes++
-		var pkey string
-		if cfg.Probes != nil {
-			pkey = probeKey(fkey, rows)
-			if c, ok := cfg.Probes.Lookup(pkey); ok {
-				res.Stats.ApproxProbesReused++
-				return c, nil
-			}
+		if len(rows) == 0 && zero != nil {
+			mProbesReused.Inc()
+			res.Stats.ApproxProbesReused++
+			return zero, nil
 		}
 		c, st, err := countCell(ctx, f, cells, solverCfg, rows)
 		res.Stats.Add(st)
-		if err == nil && cfg.Probes != nil {
-			cfg.Probes.Store(pkey, c)
+		if err == nil && len(rows) == 0 {
+			zero = c
 		}
 		return c, err
 	}

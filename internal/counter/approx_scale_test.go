@@ -103,54 +103,39 @@ func TestApproxSparseWideSupport(t *testing.T) {
 	}
 }
 
-// TestApproxProbeCacheReuse: a second run over a content-identical
-// formula with the same seed answers every probe from the shared cache
-// and returns the identical estimate; running without the cache also
-// returns the identical estimate (sharing never changes results).
-func TestApproxProbeCacheReuse(t *testing.T) {
-	c := testutil.RandomCircuit(12, 30, 1, 9090)
-	par := c.Inputs[0]
-	for _, in := range c.Inputs[1:] {
-		par = c.AddGate(circuit.Xor, par, in)
-	}
-	c.SetOutputs(c.AddGate(circuit.Or, c.Outputs[0], par))
-	f, err := cnf.Encode(c)
+// TestApproxZeroRowCellCountedOnce: every round draws fresh hash rows,
+// so the unhashed formula is the only cell that recurs across rounds.
+// An 8-input parity cone has 128 models, above the ε=0.8 pivot of 72,
+// and 64 per one-row cell, below it: every round's walk ends by asking
+// the zero-row cell. ApproxCount counts it in the first round only and
+// answers the later rounds from that count, booking them as reused
+// probes; the estimate is the one each round would give on its own.
+func TestApproxZeroRowCellCountedOnce(t *testing.T) {
+	f := parityFormula(t, 8)
+	before := mProbesReused.Value()
+	r, err := ApproxCount(context.Background(), f, ApproxConfig{
+		Epsilon: 0.8, Delta: 0.2, Seed: 11, Rounds: 5, Sampling: inputVars(f), Solver: cellCfg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := NewProbeCache(0)
-	cfg := ApproxConfig{Epsilon: 0.8, Delta: 0.2, Seed: 11, Rounds: 5, Probes: pc}
-	a, err := ApproxCount(context.Background(), f, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if r.Exact || r.Rounds < 2 {
+		t.Fatalf("want a hashed estimate over several rounds, got exact=%v rounds=%d", r.Exact, r.Rounds)
 	}
-	if a.Exact {
-		t.Skip("circuit hit the exact shortcut; cache path not exercised")
+	if r.Count.Int64() != 128 {
+		t.Errorf("estimate %v, want 128 (every cell of a parity cone is exact)", r.Count)
 	}
-	if a.Stats.ApproxProbesReused != 0 {
-		t.Errorf("first run reported %d reused probes", a.Stats.ApproxProbesReused)
+	st := r.Stats
+	if st.ApproxProbesReused != uint64(r.Rounds-1) {
+		t.Errorf("%d reused probes over %d rounds, want one per round after the first",
+			st.ApproxProbesReused, r.Rounds)
 	}
-	b, err := ApproxCount(context.Background(), f, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if st.SimCalls != st.ApproxProbes-st.ApproxProbesReused {
+		t.Errorf("%d cells counted for %d probes (%d reused): a reused probe was counted again",
+			st.SimCalls, st.ApproxProbes, st.ApproxProbesReused)
 	}
-	if b.Count.Cmp(a.Count) != 0 {
-		t.Errorf("cached rerun changed the estimate: %v vs %v", b.Count, a.Count)
-	}
-	if b.Stats.ApproxProbesReused != b.Stats.ApproxProbes || b.Stats.ApproxProbes == 0 {
-		t.Errorf("rerun reused %d of %d probes, want all", b.Stats.ApproxProbesReused, b.Stats.ApproxProbes)
-	}
-	if pc.Hits() == 0 || pc.Len() == 0 {
-		t.Errorf("probe cache saw no traffic: len=%d hits=%d", pc.Len(), pc.Hits())
-	}
-	nocache := cfg
-	nocache.Probes = nil
-	d, err := ApproxCount(context.Background(), f, nocache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Count.Cmp(a.Count) != 0 {
-		t.Errorf("cache changed the estimate: without %v, with %v", d.Count, a.Count)
+	if got := mProbesReused.Value() - before; got != st.ApproxProbesReused {
+		t.Errorf("approx.probes_reused grew by %d, Stats report %d", got, st.ApproxProbesReused)
 	}
 }
 

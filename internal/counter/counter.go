@@ -137,12 +137,11 @@ type Stats struct {
 	// asserted before branching.
 	GaussReductions uint64
 	// ApproxProbes counts the hash-cell probes the approx backend
-	// counted exactly, by simulation or DPLL (including reused ones).
+	// asked, each counted exactly by simulation or DPLL unless reused.
 	ApproxProbes uint64
-	// ApproxProbesReused counts probes answered by the shared probe
-	// cache instead of a fresh exact count — within a task (rounds
-	// re-probing the same boundary) or across structurally identical
-	// tasks of a session.
+	// ApproxProbesReused counts probes answered without a fresh count:
+	// later rounds asking the zero-row cell, which ApproxCount counts
+	// once per call.
 	ApproxProbesReused uint64
 	// SupportBefore and SupportAfter sum the approx sampling-set sizes
 	// before and after independent-support minimization over the call's
@@ -373,6 +372,24 @@ func litVar(l int32) int32 {
 	return -l
 }
 
+// level0 propagates the formula's unit clauses and unit XOR rows to
+// fixpoint on a freshly reset solver — the setup Count, Satisfiable and
+// MinimizeSupport share. It reports false when the formula is
+// unsatisfiable at level 0 (an empty clause or a conflict).
+func (s *Solver) level0() bool {
+	for ci, cl := range s.clauses {
+		switch len(cl) {
+		case 0:
+			return false
+		case 1:
+			if s.nTrue[ci] == 0 { // not yet satisfied by an earlier unit
+				s.propQ = append(s.propQ, propItem{cl[0], int32(ci)})
+			}
+		}
+	}
+	return s.queueXorUnits() && s.propagate()
+}
+
 // Stats returns the statistics of the most recent Count call.
 func (s *Solver) Stats() Stats { return s.stats }
 
@@ -395,21 +412,7 @@ func (s *Solver) Count(ctx context.Context) (*big.Int, error) {
 	if ctx.Done() != nil {
 		s.ctx = ctx
 	}
-	// Level 0: propagate the unit clauses (and fail on empty clauses).
-	for ci, cl := range s.clauses {
-		switch len(cl) {
-		case 0:
-			return big.NewInt(0), nil
-		case 1:
-			if s.nTrue[ci] == 0 { // not yet satisfied by an earlier unit
-				s.propQ = append(s.propQ, propItem{cl[0], int32(ci)})
-			}
-		}
-	}
-	if !s.queueXorUnits() {
-		return big.NewInt(0), nil
-	}
-	if !s.propagate() {
+	if !s.level0() {
 		return big.NewInt(0), nil
 	}
 	allVars := make([]int32, 0, s.nVars)

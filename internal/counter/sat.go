@@ -21,20 +21,7 @@ func (s *Solver) Satisfiable(ctx context.Context) (bool, error) {
 	if ctx.Done() != nil {
 		s.ctx = ctx
 	}
-	for ci, cl := range s.clauses {
-		switch len(cl) {
-		case 0:
-			return false, nil
-		case 1:
-			if s.nTrue[ci] == 0 {
-				s.propQ = append(s.propQ, propItem{cl[0], int32(ci)})
-			}
-		}
-	}
-	if !s.queueXorUnits() {
-		return false, nil
-	}
-	if !s.propagate() {
+	if !s.level0() {
 		return false, nil
 	}
 	allVars := make([]int32, 0, s.nVars)

@@ -54,19 +54,7 @@ func MinimizeSupport(f *cnf.Formula, sampling []int32) []int32 {
 	}
 	s := New(f, Config{DisableCache: true, DisableIBCP: true, DisableLearning: true})
 	s.reset()
-	// Level-0 propagation, mirroring Count's setup: unit clauses and
-	// unit XOR rows to fixpoint.
-	for ci, cl := range s.clauses {
-		switch len(cl) {
-		case 0:
-			return sampling[:0]
-		case 1:
-			if s.nTrue[ci] == 0 {
-				s.propQ = append(s.propQ, propItem{cl[0], int32(ci)})
-			}
-		}
-	}
-	if !s.queueXorUnits() || !s.propagate() {
+	if !s.level0() {
 		return sampling[:0]
 	}
 

@@ -57,18 +57,8 @@ func (b *countingBackend) Count(ctx context.Context, req *Request, todo []int, e
 	case req.Config.SharedCache:
 		cache = counter.NewCache(0, 0)
 	}
-	// One shared probe cache for the approx backend: hash rows depend
-	// only on the session seed and the row position, so structurally
-	// identical sub-miters (same encoded CNF content) draw identical
-	// rows and their boundary probes collide here — each cell is counted
-	// once per session instead of once per task. Sharing never changes
-	// an estimate.
-	var probes *counter.ProbeCache
-	if b.approx {
-		probes = counter.NewProbeCache(0)
-	}
 	return emit.forEach(ctx, todo, func(ctx context.Context, j int) (TaskResult, error) {
-		return b.count(ctx, req, j, cache, probes)
+		return b.count(ctx, req, j, cache)
 	})
 }
 
@@ -143,7 +133,7 @@ func wholeSimulable(cfg counter.Config, sub *circuit.Circuit, k int) bool {
 }
 
 // count runs Phase 2 on task j's prepared single-output sub-miter.
-func (b *countingBackend) count(ctx context.Context, req *Request, j int, cache *counter.Cache, probes *counter.ProbeCache) (TaskResult, error) {
+func (b *countingBackend) count(ctx context.Context, req *Request, j int, cache *counter.Cache) (TaskResult, error) {
 	res := TaskResult{Count: new(big.Int)}
 	f, err := cnf.Encode(req.Tasks[j].Sub)
 	if err != nil {
@@ -157,7 +147,7 @@ func (b *countingBackend) count(ctx context.Context, req *Request, j int, cache 
 	}
 	var cnt *big.Int
 	if b.approx {
-		cnt, err = b.approxTask(ctx, req, f, solverCfg, probes, &res)
+		cnt, err = b.approxTask(ctx, req, f, solverCfg, &res)
 	} else {
 		s := counter.New(f, solverCfg)
 		cnt, err = s.Count(ctx)
@@ -181,12 +171,10 @@ func (b *countingBackend) count(ctx context.Context, req *Request, j int, cache 
 // set is an independent support and hashing over it is sound (and far
 // cheaper than hashing over all gate variables). Every task draws its
 // rows from the session seed alone, never from the task index or worker
-// identity: content-identical tasks therefore draw identical rows and
-// share probe outcomes through the session probe cache. (Estimates of
-// sibling tasks become correlated; the core layer's confidence
-// aggregation uses the union bound, which is valid under arbitrary
-// correlation.)
-func (b *countingBackend) approxTask(ctx context.Context, req *Request, f *cnf.Formula, solverCfg counter.Config, probes *counter.ProbeCache, res *TaskResult) (*big.Int, error) {
+// identity, so estimates do not depend on the schedule. (Estimates of
+// sibling tasks are correlated; the core layer's confidence aggregation
+// uses the union bound, which is valid under arbitrary correlation.)
+func (b *countingBackend) approxTask(ctx context.Context, req *Request, f *cnf.Formula, solverCfg counter.Config, res *TaskResult) (*big.Int, error) {
 	var inputs []int32
 	for _, id := range f.Circ.Inputs {
 		if v := f.VarOfNode[id]; v != 0 {
@@ -198,7 +186,6 @@ func (b *countingBackend) approxTask(ctx context.Context, req *Request, f *cnf.F
 		Delta:    req.Config.Delta,
 		Seed:     req.Config.Seed,
 		Sampling: inputs,
-		Probes:   probes,
 		Solver:   solverCfg,
 	})
 	if err != nil {

@@ -95,8 +95,7 @@ type Config struct {
 	// Seed makes the approx backend's XOR sampling deterministic. Hash
 	// rows are a pure function of Seed and the row's position — never of
 	// the task index or worker identity — so results are reproducible at
-	// any worker count and structurally identical tasks draw identical
-	// rows (the property the session probe cache exploits).
+	// any worker count.
 	Seed int64
 }
 
@@ -116,15 +115,15 @@ type CountTask struct {
 	// "<metric>/<output>" of the first metric output that produced it.
 	Label string
 	// Key is the canonical cone key of Sub (plan's coneKey over the
-	// synthesized cone): a content address equal across sessions exactly
-	// when the cones are isomorphic over the same shared-input
-	// positions. Empty when the request was built without the plan layer;
-	// Execute then skips the cone tier for this task.
+	// synthesized cone): a content address equal within and across
+	// sessions exactly when the cones are isomorphic, whichever session
+	// inputs they read. Empty when the request was built without the
+	// plan layer; Execute then skips the cone tier for this task.
 	Key string
-	// KeyInputs is the number of shared inputs the cone actually
-	// reaches (pinned by Key). Counts stored under Key live in this
-	// 2^KeyInputs space; backends rescale to the session's full input
-	// space by shifting.
+	// KeyInputs is the number of inputs the cone actually reaches
+	// (pinned by Key). Counts stored under Key live in this 2^KeyInputs
+	// space; backends rescale to the session's full input space by
+	// shifting.
 	KeyInputs int
 	// NodesBefore and NodesAfter record the task's gate count before and
 	// after the plan layer's synthesis pass.

@@ -95,39 +95,14 @@ func NewHandler(opt Options) http.Handler {
 }
 
 // serveProgress streams hub events to one client until it disconnects.
-// Plain requests get JSON lines (application/x-ndjson); requests with
-// Accept: text/event-stream get server-sent events. The first line is a
-// {"ev":"stream_open"} event, so a client knows the stream is live
-// before the first run event arrives.
+// The first line is a {"ev":"stream_open"} event, so a client knows the
+// stream is live before the first run event arrives.
 func serveProgress(opt Options, w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
+	writeLine := LineWriter(w, r)
+	if writeLine == nil {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-
-	writeLine := func(line []byte) bool {
-		var err error
-		if sse {
-			_, err = fmt.Fprintf(w, "data: %s\n\n", line)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\n", line)
-		}
-		if err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-
 	if !writeLine([]byte(`{"ev":"stream_open"}`)) {
 		return
 	}
@@ -149,7 +124,37 @@ func serveProgress(opt Options, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Server is a running introspection listener.
+// LineWriter starts a streamed 200 response on w and returns the
+// function that writes one event line to it, flushed at once. Plain
+// requests get JSON lines (application/x-ndjson); requests with Accept:
+// text/event-stream get server-sent events. The writer reports false
+// once the client is gone. LineWriter returns nil, having written
+// nothing, when w cannot flush.
+func LineWriter(w http.ResponseWriter, r *http.Request) func(line []byte) bool {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		return nil
+	}
+	format := "%s\n"
+	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		w.Header().Set("Content-Type", "text/event-stream")
+		format = "data: %s\n\n"
+	} else {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+	}
+	w.Header().Set("Cache-Control", "no-store")
+	w.WriteHeader(http.StatusOK)
+	return func(line []byte) bool {
+		if _, err := fmt.Fprintf(w, format, line); err != nil {
+			return false
+		}
+		fl.Flush()
+		return true
+	}
+}
+
+// Server is a running HTTP listener: the introspection server, or any
+// handler started with Serve (vacsem-serve's API).
 type Server struct {
 	ln   net.Listener
 	srv  *http.Server
@@ -160,13 +165,15 @@ type Server struct {
 // serves the introspection handler. The listen happens synchronously so
 // a bad address fails the caller up front.
 func Start(addr string, opt Options) (*Server, error) {
-	return serve(addr, NewHandler(opt))
+	return Serve(addr, NewHandler(opt))
 }
 
-// serve runs h on addr with a tracked listener and a shutdown path —
+// Serve runs h on addr with a tracked listener and a shutdown path —
 // Close closes the server and waits for the serve loop to return, so
-// the port is free (and no goroutine leaks) when Close returns.
-func serve(addr string, h http.Handler) (*Server, error) {
+// the port is free (and no goroutine leaks) when Close returns. The
+// listen is synchronous, so a bad address fails the caller up front;
+// use ":0" for an ephemeral port and Addr to discover it.
+func Serve(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -95,7 +95,7 @@ func Setup(cfg CLIConfig) (stop func() error, err error) {
 	// The introspection mux already delegates /debug/pprof, so when the
 	// two flags name the same address they share that listener.
 	if cfg.PprofAddr != "" && cfg.PprofAddr != cfg.IntrospectAddr {
-		srv, err := serve(cfg.PprofAddr, http.DefaultServeMux)
+		srv, err := Serve(cfg.PprofAddr, http.DefaultServeMux)
 		if err != nil {
 			return fail(fmt.Errorf("pprof: %w", err))
 		}

@@ -281,11 +281,10 @@ func (p *Plan) finish(tr *obs.Tracer, span obs.SpanID) {
 // are filled here.
 func (p *Plan) compile(c *circuit.Circuit, noSynth bool) {
 	type group struct {
-		cone     *circuit.Circuit
-		inputPos []int
-		root     int // node id in c
-		label    string
-		reqs     []int // request indexes mapped to this group
+		cone  *circuit.Circuit
+		root  int // node id in c
+		label string
+		reqs  []int // request indexes mapped to this group
 	}
 
 	nReq := 0
@@ -302,17 +301,13 @@ func (p *Plan) compile(c *circuit.Circuit, noSynth bool) {
 	for i := range p.Metrics {
 		for k := range p.Metrics[i].Outputs {
 			label := p.Metrics[i].Name + "/" + p.Metrics[i].Outputs[k]
-			cone, old2new := c.ExtractCone(ri)
-			pos := inputPositions(c, old2new)
-			key, _ := coneKey(cone, pos)
+			cone, _ := c.ExtractCone(ri)
+			key, _ := coneKey(cone)
 			gi, ok := rawKey[key]
 			if !ok {
 				gi = len(groups)
 				rawKey[key] = gi
-				groups = append(groups, &group{
-					cone: cone, inputPos: pos,
-					root: c.Outputs[ri], label: label,
-				})
+				groups = append(groups, &group{cone: cone, root: c.Outputs[ri], label: label})
 			}
 			groups[gi].reqs = append(groups[gi].reqs, ri)
 			ri++
@@ -322,8 +317,7 @@ func (p *Plan) compile(c *circuit.Circuit, noSynth bool) {
 	// Level 2: synthesize each unique cone and re-key — synthesis
 	// canonicalizes structure (e.g. MED's conditional negate cancels to
 	// the bare XOR that is MHD's bit), merging groups that only now
-	// became identical. Synthesis preserves the input list, so the raw
-	// cone's input positions keep identifying the compressed inputs.
+	// became identical.
 	type task struct {
 		ct   engine.CountTask
 		root int
@@ -336,7 +330,7 @@ func (p *Plan) compile(c *circuit.Circuit, noSynth bool) {
 		if !noSynth {
 			comp = synth.Compress(g.cone)
 		}
-		key, keyInputs := coneKey(comp, g.inputPos)
+		key, keyInputs := coneKey(comp)
 		ti, ok := compKey[key]
 		if !ok {
 			ti = len(tasks)
@@ -388,51 +382,31 @@ func (p *Plan) compile(c *circuit.Circuit, noSynth bool) {
 	}
 }
 
-// inputPositions maps a cone's inputs (in order) to their positions in
-// the combined circuit's input list, using the old-to-new id map
-// ExtractCone returned. Cone inputs are created in combined-id order,
-// and the combined input list is id-ordered too, so the result aligns
-// index-for-index with cone.Inputs.
-func inputPositions(c *circuit.Circuit, old2new []int) []int {
-	var pos []int
-	for pi, id := range c.Inputs {
-		if old2new[id] >= 0 {
-			pos = append(pos, pi)
-		}
-	}
-	return pos
-}
-
 // coneKey serializes the logic cone of a single-output circuit into a
 // canonical structural key. Two cones get the same key iff they compute
-// the same node structure over the same combined-miter inputs:
+// the same node structure:
 //
 //   - only nodes reachable from the output are keyed (dangling gates or
 //     inputs left behind by synthesis cannot differ the key),
-//   - nodes are identified by their dense rank in id order (ids are
-//     topological, so isomorphic cones rank identically),
-//   - inputs are identified by their position in the session's shared
-//     input list, not by name or local id,
-//   - names appear nowhere.
+//   - nodes, inputs included, are identified by their dense rank in id
+//     order (ids are topological, so isomorphic cones rank identically),
+//   - session input positions and names appear nowhere.
 //
-// The key is exact — no hashing — so equal keys imply isomorphic cones
-// and therefore equal counts; dedup is sound by construction. That same
-// property makes the key safe as a *cross-run* content address (the
-// store tier of internal/store): it mentions nothing session-specific
-// beyond shared-input positions, which isomorphic sessions reproduce.
+// A cone's count depends only on its structure, so isomorphic cones over
+// different session inputs have equal counts and share one task. The
+// key is exact — no hashing — so equal keys imply isomorphic cones and
+// therefore equal counts; dedup is sound by construction. That same
+// property makes the key a *cross-run* content address (the store tier
+// of internal/store), shared across sessions of any input width.
 //
-// inputs reports how many of the session's inputs the cone actually
-// reaches — the cone's own input space is 2^inputs, which is the space
-// the store normalizes counts to (unreachable inputs are free and scale
-// any count by an exact power of two).
-func coneKey(c *circuit.Circuit, inputPos []int) (key string, inputs int) {
+// inputs reports how many inputs the cone reaches — the cone's own
+// input space is 2^inputs, which is the space the store normalizes
+// counts to (unreachable inputs are free and scale any count by an
+// exact power of two).
+func coneKey(c *circuit.Circuit) (key string, inputs int) {
 	mark := c.ConeMark(c.Outputs[0])
 	rank := make([]int, len(c.Nodes))
 	next := 0
-	inputIdx := make(map[int]int, len(c.Inputs))
-	for i, id := range c.Inputs {
-		inputIdx[id] = i
-	}
 	buf := make([]byte, 0, 16*len(c.Nodes))
 	for id := 0; id < len(c.Nodes); id++ {
 		if !mark[id] {
@@ -444,8 +418,6 @@ func coneKey(c *circuit.Circuit, inputPos []int) (key string, inputs int) {
 		buf = append(buf, byte(nd.Kind))
 		if nd.Kind == circuit.Input {
 			inputs++
-			buf = binary.AppendUvarint(buf, uint64(inputPos[inputIdx[id]]))
-			continue
 		}
 		for _, f := range nd.Fanins {
 			buf = binary.AppendUvarint(buf, uint64(rank[f]))

@@ -12,6 +12,7 @@ import (
 	"vacsem/internal/core"
 	"vacsem/internal/miter"
 	"vacsem/internal/obs"
+	"vacsem/internal/obs/expo"
 )
 
 // maxBodyBytes bounds a submit body (two BLIF circuits plus options).
@@ -290,32 +291,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	fl, okf := w.(http.Flusher)
-	if !okf {
+	writeLine := expo.LineWriter(w, r)
+	if writeLine == nil {
 		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
 		return
-	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-
-	writeLine := func(line []byte) bool {
-		var err error
-		if sse {
-			_, err = fmt.Fprintf(w, "data: %s\n\n", line)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\n", line)
-		}
-		if err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
 	}
 	final := func() {
 		st, _, _, ok := s.status(st.JobID)

@@ -26,7 +26,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -312,46 +311,6 @@ func sessionName(specs []core.MetricSpec) string {
 		name += sp.MetricName()
 	}
 	return name
-}
-
-// HTTPServer is a running service listener (the transport half;
-// Server.Close drains the scheduler half).
-type HTTPServer struct {
-	ln   net.Listener
-	srv  *http.Server
-	done chan error
-}
-
-// Start listens on addr and serves h (normally a *Server). The listen
-// is synchronous, so a bad address fails the caller immediately; use
-// ":0" for an ephemeral port and Addr to discover it.
-func Start(addr string, h http.Handler) (*HTTPServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	hs := &HTTPServer{
-		ln:   ln,
-		srv:  &http.Server{Handler: h},
-		done: make(chan error, 1),
-	}
-	go func() { hs.done <- hs.srv.Serve(ln) }()
-	return hs, nil
-}
-
-// Addr returns the bound listen address.
-func (hs *HTTPServer) Addr() string { return hs.ln.Addr().String() }
-
-// Close stops the listener and all active connections (unblocking any
-// streaming clients) and waits for the serve loop to exit, so no
-// goroutine outlives it. It does not drain the scheduler — call
-// Server.Close for that, after this.
-func (hs *HTTPServer) Close() error {
-	err := hs.srv.Close()
-	if serr := <-hs.done; serr != nil && serr != http.ErrServerClosed && err == nil {
-		err = serr
-	}
-	return err
 }
 
 // Close drains the service: no new submits are admitted, queued and

@@ -20,7 +20,7 @@ func filteredCounts(c *circuit.Circuit, rows []Parity) []uint64 {
 	for i := range vectors {
 		vectors[i] = make([]uint64, words)
 		for w := range vectors[i] {
-			vectors[i][w] = InputWord(i, uint64(w))
+			vectors[i][w] = inputWord(i, uint64(w))
 		}
 	}
 	outs := RunMany(c, vectors, words)

@@ -57,7 +57,7 @@ func BenchmarkSimKernel(b *testing.B) {
 			}
 			for blk := uint64(0); blk < blocks; blk++ {
 				for k := 0; k < n; k++ {
-					in[k] = InputWord(k, blk)
+					in[k] = inputWord(k, blk)
 				}
 				e.Run(in)
 				for j := range counts {

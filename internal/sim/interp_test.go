@@ -73,10 +73,10 @@ func interpCountOnes(c *circuit.Circuit) []uint64 {
 	counts := make([]uint64, len(c.Outputs))
 	for blk := uint64(0); blk*64 < total; blk++ {
 		for k := range in {
-			in[k] = InputWord(k, blk)
+			in[k] = inputWord(k, blk)
 		}
 		e.Run(in)
-		mask := BlockMask(blk, total)
+		mask := blockMask(blk, total)
 		for j := range counts {
 			counts[j] += uint64(bits.OnesCount64(e.Out(j) & mask))
 		}

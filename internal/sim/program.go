@@ -11,7 +11,6 @@ import (
 
 	"vacsem/internal/circuit"
 	"vacsem/internal/obs"
-	"vacsem/internal/simword"
 )
 
 // BatchWords is the number of 64-pattern words a compiled program
@@ -602,15 +601,15 @@ func (p *Program) eval1(v []uint64, w int32) {
 // fillEnumBase writes the enum-constant enumeration inputs (0-5, the
 // canonical base patterns) once per value array per enumeration, so the
 // per-batch fill only touches inputs that actually change. The
-// constancy classes come from simword.Classify so the fill strategy
-// stays pinned to the shared pattern-word definitions.
+// constancy classes come from classify so the fill strategy stays
+// pinned to the pattern-word definitions.
 func (p *Program) fillEnumBase(v []uint64) {
 	for i, o := range p.inputs {
-		if simword.Classify(i, BatchWords) != simword.EnumConstant {
+		if classify(i, BatchWords) != enumConstant {
 			break
 		}
 		dst := (*[BatchWords]uint64)(v[o:])
-		w := simword.BasePatterns[i]
+		w := basePatterns[i]
 		for j := range dst {
 			dst[j] = w
 		}
@@ -624,19 +623,19 @@ func (p *Program) fillEnumBase(v []uint64) {
 // the batch; only per-word inputs are filled word by word.
 func (p *Program) fillEnumBatch(v []uint64, b0 uint64) {
 	for i, o := range p.inputs {
-		switch simword.Classify(i, BatchWords) {
-		case simword.EnumConstant:
+		switch classify(i, BatchWords) {
+		case enumConstant:
 			continue
-		case simword.BatchConstant:
+		case batchConstant:
 			dst := (*[BatchWords]uint64)(v[o:])
-			w := simword.InputWord(i, b0)
+			w := inputWord(i, b0)
 			for j := range dst {
 				dst[j] = w
 			}
 		default:
 			dst := (*[BatchWords]uint64)(v[o:])
 			for j := range dst {
-				dst[j] = simword.InputWord(i, b0+uint64(j))
+				dst[j] = inputWord(i, b0+uint64(j))
 			}
 		}
 	}
@@ -724,10 +723,10 @@ func (p *Program) countBlocks(ctx context.Context, workers int, blocks, total ui
 		v := *vp
 		if blocks == 1 {
 			for i, o := range p.inputs {
-				v[o] = simword.InputWord(i, 0)
+				v[o] = inputWord(i, 0)
 			}
 			p.eval1(v, 0)
-			mask := simword.BlockMask(0, total)
+			mask := blockMask(0, total)
 			for j, o := range p.outputs {
 				counts[j] = uint64(bits.OnesCount64(v[o] & mask))
 			}
@@ -742,7 +741,7 @@ func (p *Program) countBlocks(ctx context.Context, workers int, blocks, total ui
 					if blk >= blocks {
 						blk = blocks - 1 // dead words beyond the last block
 					}
-					dst[b] = simword.InputWord(i, blk)
+					dst[b] = inputWord(i, blk)
 				}
 			}
 			p.evalBatch(v)

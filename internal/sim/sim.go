@@ -14,7 +14,6 @@ import (
 
 	"vacsem/internal/circuit"
 	"vacsem/internal/obs"
-	"vacsem/internal/simword"
 )
 
 // Metrics of the exhaustive-enumeration path. Updates happen once per
@@ -25,15 +24,6 @@ var (
 	mEnumBlocks   = obs.Default.Counter("sim.enum_blocks")
 	hEnumSeconds  = obs.Default.Histogram("sim.enum_batch_seconds", nil)
 )
-
-// InputWord returns the simulation word of input i (0-based) for pattern
-// block `block`, under exhaustive enumeration: pattern index p (global) has
-// input i equal to bit i of p.
-func InputWord(i int, block uint64) uint64 { return simword.InputWord(i, block) }
-
-// BlockMask returns the mask of valid pattern bits in block `block` when
-// only `total` patterns exist overall (total > block*64).
-func BlockMask(block, total uint64) uint64 { return simword.BlockMask(block, total) }
 
 // CountOnesPerOutputWorkers exhaustively counts, for every primary
 // output, the number of input patterns under which that output is 1,

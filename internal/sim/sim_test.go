@@ -21,34 +21,37 @@ func countOnes(t *testing.T, c *circuit.Circuit) []uint64 {
 }
 
 func TestInputWordBasePatterns(t *testing.T) {
-	// Bit p of InputWord(i, 0) must equal bit i of pattern index p.
+	// Bit p of inputWord(i, 0) must equal bit i of pattern index p.
 	for i := 0; i < 6; i++ {
-		w := InputWord(i, 0)
+		w := inputWord(i, 0)
 		for p := uint(0); p < 64; p++ {
 			want := p>>uint(i)&1 == 1
 			if (w>>p&1 == 1) != want {
-				t.Fatalf("InputWord(%d,0) bit %d wrong", i, p)
+				t.Fatalf("inputWord(%d,0) bit %d wrong", i, p)
 			}
 		}
 	}
 	// Inputs >= 6 select on the block index.
-	if InputWord(6, 0) != 0 || InputWord(6, 1) != ^uint64(0) {
+	if inputWord(6, 0) != 0 || inputWord(6, 1) != ^uint64(0) {
 		t.Error("InputWord block selection wrong")
 	}
-	if InputWord(8, 3) != 0 || InputWord(8, 4) != ^uint64(0) {
+	if inputWord(8, 3) != 0 || inputWord(8, 4) != ^uint64(0) {
 		t.Error("InputWord high-bit selection wrong")
 	}
 }
 
 func TestBlockMask(t *testing.T) {
-	if BlockMask(0, 64) != ^uint64(0) {
-		t.Error("full block mask wrong")
+	cases := []struct {
+		block, total, want uint64
+	}{
+		{0, 64, ^uint64(0)},
+		{0, 5, 31},
+		{1, 100, (1 << 36) - 1},
 	}
-	if BlockMask(0, 5) != 31 {
-		t.Error("partial mask wrong")
-	}
-	if BlockMask(1, 100) != (1<<36)-1 {
-		t.Error("second block partial mask wrong")
+	for _, c := range cases {
+		if got := blockMask(c.block, c.total); got != c.want {
+			t.Errorf("blockMask(%d, %d) = %#x, want %#x", c.block, c.total, got, c.want)
+		}
 	}
 }
 

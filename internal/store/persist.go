@@ -15,11 +15,13 @@ import (
 // Snapshot format: one JSON document holding both tiers. Cone keys and
 // component keys are binary (the canonical serializations embed raw
 // varints), so both are base64-encoded; counts are decimal strings
-// (math/big's portable text form). The version field gates future
-// format changes — Load rejects versions it does not know rather than
-// guessing.
+// (math/big's portable text form). The version field gates format
+// changes — Load rejects versions it does not know rather than guessing.
+// Version 2 keys cones by structure alone (plan's coneKey ranks inputs
+// within the cone); version 1 keys pinned session input positions, a
+// different byte format that must not be misread as version 2 keys.
 
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 type snapshotDoc struct {
 	Version    int             `json:"version"`

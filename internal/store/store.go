@@ -6,9 +6,10 @@
 // The store has two tiers, both keyed by canonical content:
 //
 //   - Tier 1 (cones): one entry per counting task, keyed by the plan
-//     layer's canonical cone key (internal/plan: dense node ranks +
-//     session input positions, exact — equal keys imply isomorphic
-//     cones and therefore equal counts). Each entry carries the count
+//     layer's canonical cone key (internal/plan: dense node ranks,
+//     inputs included, and no session input positions; exact — equal
+//     keys imply isomorphic cones and therefore equal counts, whichever
+//     inputs the cones read). Each entry carries the count
 //     over the cone's own reachable-input space plus full provenance:
 //     which backend produced it, and for approximate counts the
 //     (ε, δ) guarantee, the sampling seed and the best-effort flag.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -177,18 +178,39 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 func TestLoadRejectsCorruption(t *testing.T) {
 	for name, doc := range map[string]string{
 		"bad version": `{"version":99,"cones":[],"components":[]}`,
-		"bad key":     `{"version":1,"cones":[{"key":"!!!","count":"1","inputs":1,"exact":true}],"components":[]}`,
-		"bad count":   `{"version":1,"cones":[{"key":"aw==","count":"x","inputs":1,"exact":true}],"components":[]}`,
-		"neg count":   `{"version":1,"cones":[{"key":"aw==","count":"-4","inputs":1,"exact":true}],"components":[]}`,
-		"approx no guarantee": `{"version":1,"cones":[` +
+		"bad key":     `{"version":2,"cones":[{"key":"!!!","count":"1","inputs":1,"exact":true}],"components":[]}`,
+		"bad count":   `{"version":2,"cones":[{"key":"aw==","count":"x","inputs":1,"exact":true}],"components":[]}`,
+		"neg count":   `{"version":2,"cones":[{"key":"aw==","count":"-4","inputs":1,"exact":true}],"components":[]}`,
+		"approx no guarantee": `{"version":2,"cones":[` +
 			`{"key":"aw==","count":"4","inputs":1,"exact":false}],"components":[]}`,
-		"bad component": `{"version":1,"cones":[],"components":[{"key":"aw==","count":"zzz"}]}`,
+		"bad component": `{"version":2,"cones":[],"components":[{"key":"aw==","count":"zzz"}]}`,
 		"not json":      `hello`,
 	} {
 		s := New(Config{})
 		if err := s.Load(bytes.NewReader([]byte(doc))); err == nil {
 			t.Errorf("%s: Load accepted a corrupt snapshot", name)
 		}
+	}
+}
+
+// TestLoadRefusesVersion1: a well-formed version-1 snapshot holds cone
+// keys that pinned session input positions — a different byte format
+// from today's position-free keys — so Load refuses it whole instead of
+// merging keys no current session can produce (or, worse, one that
+// collides with a different cone).
+func TestLoadRefusesVersion1(t *testing.T) {
+	doc := `{"version":1,"cones":[{"key":"aw==","count":"3","inputs":2,"exact":true}],` +
+		`"components":[{"key":"aw==","count":"5"}]}`
+	s := New(Config{})
+	err := s.Load(bytes.NewReader([]byte(doc)))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Load of a version-1 snapshot: err = %v, want a version error", err)
+	}
+	if st := s.Stats(); st.Cones.Entries != 0 {
+		t.Errorf("refused snapshot merged %d cone entries", st.Cones.Entries)
+	}
+	if _, ok := s.LookupCone("k", Req{Exact: true}); ok {
+		t.Error("refused snapshot left a cone entry")
 	}
 }
 

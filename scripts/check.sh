@@ -71,7 +71,7 @@ echo "==> approx backend smoke (tiny adder pair, ε=0.2, fixed seed, via the CLI
 apxdir=$(mktemp -d)
 trap 'rm -rf "$apxdir"' EXIT
 go run ./examples/approx_quickstart -write "$apxdir"
-apx_out=$(go run ./cmd/vacsem -metric er -backend approx -epsilon 0.2 -count-seed 1 \
+apx_out=$(go run ./cmd/vacsem -metric er -method approx -epsilon 0.2 -count-seed 1 \
 	-exact "$apxdir/adder8.blif" -approx "$apxdir/adder8_apx.blif")
 echo "$apx_out"
 if ! echo "$apx_out" | grep -q "guarantee"; then
@@ -88,6 +88,13 @@ if ! grep -q '"approx": true' "$apxdir/approx.json" ||
 	echo "approx bench report is missing approx/epsilon fields"
 	exit 1
 fi
+
+echo "==> approx count gate (-table approx vs committed baseline)"
+# The run above uses the baseline's own parameters (-workers 1 and
+# -sim-workers 1 are vacsem-bench's defaults), so every estimate must
+# reproduce bit for bit: a hash family, boundary walk or cell count that
+# moves one fails here.
+go run ./cmd/vacsem-bench -diff BENCH_20261019T125007.json "$apxdir/approx.json"
 
 echo "==> approx-scaling smoke (adder/mult scale rows render and finish)"
 # The scale rows ride along in -table approx above. Hash cells are
