@@ -188,6 +188,7 @@ func TestDiffWorkCommittedHistory(t *testing.T) {
 		{"BENCH_20260808T085213.json", "BENCH_20261017T094706.json"},
 		{"BENCH_20261017T093530.json", "BENCH_20261017T095001.json"},
 		{"BENCH_20260808T085213.json", "BENCH_20261019T102206.json"},
+		{"BENCH_20261019T102206.json", "BENCH_20261019T172811.json"},
 		{"BENCH_20261017T093530.json", "BENCH_20261019T102238.json"},
 		{"BENCH_20261019T050207.json", "BENCH_20261019T102445.json"},
 	} {

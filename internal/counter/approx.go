@@ -296,11 +296,7 @@ func ApproxCount(ctx context.Context, f *cnf.Formula, cfg ApproxConfig) (*Approx
 	if solverCfg.Cache == nil && !solverCfg.DisableCache {
 		// One content-keyed cache shared by every probe: residual
 		// components that do not touch a hash row recur across cells.
-		maxEntries := solverCfg.MaxCacheEntries
-		if maxEntries == 0 {
-			maxEntries = defaultMaxCacheEntries
-		}
-		solverCfg.Cache = NewCache(maxEntries, 0)
+		solverCfg.Cache = NewCache(0, 0)
 	}
 	bigPivot := big.NewInt(pivot)
 	cells := newCellSim(f, solverCfg)

@@ -102,8 +102,12 @@ func init() {
 	}
 }
 
+// defaultMaxCacheEntries bounds a cache whose caller gives no entry
+// bound: 4 million entries.
+const defaultMaxCacheEntries = 4 << 20
+
 // NewCache returns an empty cache bounded to maxEntries entries
-// (0 = the Config.MaxCacheEntries default) and, when maxBytes > 0,
+// (0 = defaultMaxCacheEntries) and, when maxBytes > 0,
 // approximately maxBytes of memory. Both bounds are enforced per shard.
 func NewCache(maxEntries int, maxBytes int64) *Cache {
 	if maxEntries <= 0 {

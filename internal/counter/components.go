@@ -235,10 +235,10 @@ func (s *Solver) cacheKey(comp *component) string {
 	return string(buf)
 }
 
-// solveComponent counts the models of one residual component, consulting
-// the cache and the simulation controller first (Algorithm 1 lines 1-2),
-// then falling back to DPLL branching (lines 3-14). It returns nil when
-// the time limit expired.
+// solveComponent counts the models of one residual component: the
+// cache, Gaussian elimination and the simulation controller first
+// (Algorithm 1 lines 1-2), then DPLL branching (lines 3-14). It returns
+// nil when the search was cancelled.
 func (s *Solver) solveComponent(comp *component) *big.Int {
 	if s.checkAbort() {
 		return nil
@@ -247,7 +247,23 @@ func (s *Solver) solveComponent(comp *component) *big.Int {
 	if s.tr != nil {
 		s.traceComponent(comp)
 	}
-	var key string
+	cnt, key, done := s.settle(comp)
+	if done {
+		return cnt
+	}
+	if cnt = s.branchCount(comp); cnt != nil {
+		s.cacheStore(key, cnt)
+	}
+	return cnt
+}
+
+// settle is the part of a component's solve that does not branch,
+// shared by counting and satisfiability: a cache lookup, then Gaussian
+// elimination over its parity rows, then the simulation controller. done
+// reports that one of them answered with cnt, stored in the cache unless
+// it came from there; cnt is nil when the search was cancelled. key is
+// the component's cache key, for the caller to store a branched count.
+func (s *Solver) settle(comp *component) (cnt *big.Int, key string, done bool) {
 	if s.cache != nil {
 		key = s.cacheKey(comp)
 		if v, cross, ok := s.cache.Lookup(key, s.cfg.CacheOwner); ok {
@@ -258,28 +274,16 @@ func (s *Solver) solveComponent(comp *component) *big.Int {
 			if s.tr != nil {
 				s.traceCache("hit")
 			}
-			return v
+			return v, key, true
 		}
 	}
-	if cnt, ok := s.tryGauss(comp); ok {
-		if cnt == nil { // cancelled during the recursive solve
-			return nil
-		}
-		s.cacheStore(key, cnt)
-		return cnt
+	if cnt, done = s.tryGauss(comp); !done {
+		cnt, done = s.trySimulate(comp)
 	}
-	if cnt, ok := s.trySimulate(comp); ok {
-		if cnt == nil { // cancelled mid-simulation
-			return nil
-		}
-		s.cacheStore(key, cnt)
-		return cnt
-	}
-	cnt := s.branchCount(comp)
 	if cnt != nil {
 		s.cacheStore(key, cnt)
 	}
-	return cnt
+	return cnt, key, done
 }
 
 // cacheStore memoizes a component count. A full cache shard evicts per
@@ -298,38 +302,78 @@ func (s *Solver) cacheStore(key string, cnt *big.Int) {
 	}
 }
 
-// branchCount implements the DPLL part: pick a decision variable, count
-// both phases, decompose the simplified formula, and sum.
+// branchCount implements the DPLL part: pick a decision variable and sum
+// the search steps of its two phases.
 func (s *Solver) branchCount(comp *component) *big.Int {
 	v := s.pickVar(comp)
 	s.stats.Decisions++
-	total := big.NewInt(0)
-	for _, lit := range [2]int32{v, -v} {
-		mark := len(s.trail)
-		s.curLevel++
-		s.propQ = append(s.propQ, propItem{lit, reasonDecision})
-		if s.propagate() && (s.cfg.DisableIBCP || s.failedLiteralFixpoint(comp.vars)) {
-			sub := big.NewInt(1)
-			comps, freeCount := s.findComponents(comp.vars)
-			sub.Lsh(sub, uint(freeCount))
-			for _, sc := range comps {
-				r := s.solveComponent(sc)
-				if r == nil {
-					s.undoTo(mark)
-					s.curLevel--
-					return nil
-				}
-				sub.Mul(sub, r)
-				if sub.Sign() == 0 {
-					break
-				}
-			}
-			total.Add(total, sub)
+	total := s.split(comp.vars, reasonDecision, v)
+	if total == nil {
+		return nil
+	}
+	neg := s.split(comp.vars, reasonDecision, -v)
+	if neg == nil {
+		return nil
+	}
+	return total.Add(total, neg)
+}
+
+// split is one search step (Algorithm 1, lines 5-11): it assumes lits
+// (see assume), decomposes the free variables of vars into components
+// and multiplies their counts, stopping at the first zero. It retracts
+// the assumption before returning a fresh count: 0 when the literals
+// conflict, nil when the search was cancelled.
+func (s *Solver) split(vars []int32, why int32, lits ...int32) *big.Int {
+	a, ok := s.assume(vars, why, lits...)
+	defer s.retract(a)
+	total := new(big.Int)
+	if !ok {
+		return total
+	}
+	if s.aborted {
+		return nil
+	}
+	comps, freeCount := s.findComponents(vars)
+	total.Lsh(total.SetInt64(1), uint(freeCount))
+	for _, comp := range comps {
+		r := s.solveComponent(comp)
+		if r == nil {
+			return nil
 		}
-		s.undoTo(mark)
-		s.curLevel--
+		if total.Mul(total, r).Sign() == 0 {
+			break
+		}
 	}
 	return total
+}
+
+// assumption is what retract restores: the trail length and decision
+// level before an assume.
+type assumption struct {
+	trail int
+	level int32
+}
+
+// assume opens a decision level, asserts lits with antecedent why and
+// runs BCP and implicit BCP over vars, reporting false when the
+// assignment conflicts. With no literals it opens no level: the root
+// step's implied literals are level-0 facts. On cancellation implicit
+// BCP stops early, with a consistent assignment.
+func (s *Solver) assume(vars []int32, why int32, lits ...int32) (assumption, bool) {
+	a := assumption{len(s.trail), s.curLevel}
+	if len(lits) > 0 {
+		s.curLevel++
+	}
+	for _, lit := range lits {
+		s.propQ = append(s.propQ, propItem{lit, why})
+	}
+	return a, s.propagate() && (s.cfg.DisableIBCP || s.failedLiteralFixpoint(vars))
+}
+
+// retract undoes an assume.
+func (s *Solver) retract(a assumption) {
+	s.undoTo(a.trail)
+	s.curLevel = a.level
 }
 
 // pickVar returns the component variable appearing in the most active

@@ -19,6 +19,7 @@ import (
 	"math/big"
 
 	"vacsem/internal/cnf"
+	"vacsem/internal/gf2"
 	"vacsem/internal/obs"
 )
 
@@ -52,19 +53,12 @@ type Config struct {
 	// excluded from component analysis and cache keys (the standard
 	// sharpSAT treatment).
 	DisableLearning bool
-	// MaxLearned caps the learned-clause database (default 100000).
-	MaxLearned int
-	// MaxCacheEntries bounds the component cache (default 4 million
-	// entries). When a cache shard is full, entries are evicted
-	// individually (2-random) — counts stay exact, only reuse is lost —
-	// so memory stays bounded on adversarial instances.
-	MaxCacheEntries int
 	// Cache, when non-nil, is an external component-count cache shared
 	// with other solvers (see Cache). Keys are solver-independent
 	// content keys, so identical residual subformulas arising in
 	// different formulas share entries; counts are unaffected by
 	// sharing. When nil, the solver builds a private Cache per Count
-	// call, bounded by MaxCacheEntries.
+	// call, with the default bounds of NewCache(0, 0).
 	Cache *Cache
 	// CacheOwner tags this solver's stores in a shared Cache; hits on
 	// entries stored under a different tag are reported as
@@ -83,18 +77,11 @@ func (c *Config) withDefaults() Config {
 	if out.MinSimGates == 0 {
 		out.MinSimGates = 24
 	}
-	if out.MaxLearned == 0 {
-		out.MaxLearned = 100000
-	}
-	if out.MaxCacheEntries == 0 {
-		out.MaxCacheEntries = defaultMaxCacheEntries
-	}
 	return out
 }
 
-// defaultMaxCacheEntries bounds the component cache when the caller
-// does not: 4 million entries.
-const defaultMaxCacheEntries = 4 << 20
+// maxLearned caps the learned-clause database.
+const maxLearned = 100000
 
 // Stats reports the work performed by one Count call.
 type Stats struct {
@@ -270,8 +257,7 @@ type Solver struct {
 	compXorSet []uint32 // stamp: xor row belongs to current component
 
 	// Gaussian-elimination scratch (see xor.go)
-	gaussRows [][]uint64
-	gaussRhs  []bool
+	gauss gf2.System
 
 	stats    Stats
 	ctx      context.Context // active cancellation source (nil = none)
@@ -415,35 +401,13 @@ func (s *Solver) Count(ctx context.Context) (*big.Int, error) {
 	if !s.level0() {
 		return big.NewInt(0), nil
 	}
-	allVars := make([]int32, 0, s.nVars)
-	for v := int32(1); v <= int32(s.nVars); v++ {
-		allVars = append(allVars, v)
+	allVars := make([]int32, s.nVars)
+	for i := range allVars {
+		allVars[i] = int32(i + 1)
 	}
-	if !s.cfg.DisableIBCP && !s.failedLiteralFixpoint(allVars) {
-		return big.NewInt(0), nil
-	}
-	if s.aborted {
+	total := s.split(allVars, reasonDecision)
+	if total == nil {
 		return nil, s.abortErr
-	}
-	free := allVars[:0]
-	for _, v := range allVars {
-		if s.assign[v] == unassigned {
-			free = append(free, v)
-		}
-	}
-	allVars = free
-	total := big.NewInt(1)
-	comps, freeCount := s.findComponents(allVars)
-	total.Lsh(total, uint(freeCount))
-	for _, comp := range comps {
-		r := s.solveComponent(comp)
-		if r == nil {
-			return nil, s.abortErr
-		}
-		total.Mul(total, r)
-		if total.Sign() == 0 {
-			break
-		}
 	}
 	return total, nil
 }
@@ -470,7 +434,7 @@ func (s *Solver) reset() {
 	case s.cfg.Cache != nil:
 		s.cache = s.cfg.Cache // shared: survives resets by design
 	default:
-		s.cache = NewCache(s.cfg.MaxCacheEntries, 0)
+		s.cache = NewCache(0, 0)
 	}
 	s.stats = Stats{}
 	s.ctx = nil
@@ -587,7 +551,7 @@ func (s *Solver) propagate() bool {
 // pseudo-reasons (probe-forced literals).
 func (s *Solver) learnFromConflict() {
 	if s.cfg.DisableLearning || s.curLevel == 0 ||
-		s.learned >= s.cfg.MaxLearned {
+		s.learned >= maxLearned {
 		return
 	}
 	var cl cnf.Clause

@@ -112,7 +112,7 @@ func TestCacheBoundEviction(t *testing.T) {
 	// A tiny cache bound forces constant eviction; counts stay exact.
 	// The bound is enforced per shard (rounded up), so the effective
 	// global ceiling is at most one entry per shard here.
-	s := New(f, Config{MaxCacheEntries: 4})
+	s := New(f, Config{Cache: NewCache(4, 0)})
 	got, err := s.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -2,12 +2,15 @@ package counter
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"vacsem/internal/als"
+	"vacsem/internal/circuit"
 	"vacsem/internal/cnf"
 	"vacsem/internal/gen"
 	"vacsem/internal/miter"
@@ -182,28 +185,92 @@ func TestProbeEpochWraparound(t *testing.T) {
 	}
 }
 
-// TestProbeMarksPinAdderER pins the search of a 16-bit adder ER count
-// (RCA against LOA(16,4), dpll) to the figures of the probe-every-
-// candidate loop, refFailedLiteralFixpoint's form. Decisions,
-// components, learned clauses and failed literals must equal that
-// loop's; propagations must fall to at most 0.6x of its 112,109.
-func TestProbeMarksPinAdderER(t *testing.T) {
-	fs := miterFormulas(t, miter.ER, gen.RippleCarryAdder(16), als.LowerORAdder(16, 4))
-	var st Stats
-	for _, f := range fs {
-		s := New(f, Config{})
-		if _, err := s.Count(context.Background()); err != nil {
+// TestSearchPinned pins the result and every Stats field of a few
+// searches, so that a change meant to keep the search (a refactor, a
+// faster data structure) is checked to keep it exactly:
+//   - a 16-bit adder ER count (RCA against LOA(16,4)); its 66,187
+//     propagations were 112,109 when failed-literal probing probed
+//     every candidate (refFailedLiteralFixpoint's form);
+//   - an XOR-heavy MED bit of the same pair, where Gaussian elimination
+//     concludes components and asserts derived units;
+//   - Satisfiable on threshold miters of RCA8 against LOA(8,4), one
+//     satisfiable (early exit) and one not (a full search);
+//   - an ApproxCount by DPLL whose support minimization drops an input
+//     fixed by a unit clause and one defined by a parity row.
+func TestSearchPinned(t *testing.T) {
+	ctx := context.Background()
+	count := func(fs ...*cnf.Formula) (string, Stats) {
+		var st Stats
+		total := new(big.Int)
+		for _, f := range fs {
+			s := New(f, Config{})
+			n, err := s.Count(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total.Add(total, n)
+			st.Add(s.Stats())
+		}
+		return total.String(), st
+	}
+	satisfiable := func(th int64) (string, Stats) {
+		fs := miterFormulas(t, func(exact, approx *circuit.Circuit) (*circuit.Circuit, error) {
+			return miter.Threshold(exact, approx, big.NewInt(th))
+		}, gen.RippleCarryAdder(8), als.LowerORAdder(8, 4))
+		s := New(fs[0], Config{})
+		sat, err := s.Satisfiable(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
-		st.Add(s.Stats())
+		return fmt.Sprint(sat), s.Stats()
 	}
-	want := Stats{Decisions: 221, Components: 750, Learned: 176, FailedLiterals: 174}
-	got := Stats{Decisions: st.Decisions, Components: st.Components, Learned: st.Learned, FailedLiterals: st.FailedLiterals}
-	if got != want {
-		t.Errorf("search %+v, want %+v", got, want)
+	cases := []struct {
+		name  string
+		run   func() (string, Stats)
+		value string
+		want  Stats
+	}{
+		{"adder16-ER", func() (string, Stats) {
+			return count(miterFormulas(t, miter.ER, gen.RippleCarryAdder(16), als.LowerORAdder(16, 4))...)
+		}, "2936012800", Stats{
+			Decisions: 221, Propagations: 66187, Components: 750, CacheHits: 420, CacheStores: 330,
+			FailedLiterals: 174, Learned: 176, XorPropagations: 19776, GaussReductions: 109,
+		}},
+		{"adder16-MED-bit8", func() (string, Stats) {
+			return count(miterFormulas(t, miter.MED, gen.RippleCarryAdder(16), als.LowerORAdder(16, 4))[8])
+		}, "0", Stats{
+			Decisions: 131, Propagations: 61193, Components: 328, CacheHits: 152, CacheStores: 176,
+			FailedLiterals: 341, Learned: 336, XorPropagations: 20317, GaussReductions: 45,
+		}},
+		{"threshold7-sat", func() (string, Stats) { return satisfiable(7) }, "true", Stats{
+			Decisions: 86, Propagations: 35141, Components: 17, CacheHits: 11, CacheStores: 65,
+			FailedLiterals: 210, Learned: 173, XorPropagations: 13813, GaussReductions: 8,
+		}},
+		{"threshold14-unsat", func() (string, Stats) { return satisfiable(14) }, "false", Stats{
+			Decisions: 102, Propagations: 47133, Components: 9, CacheStores: 81,
+			FailedLiterals: 270, Learned: 231, XorPropagations: 18762, GaussReductions: 6,
+		}},
+		{"approx-dropped-support", func() (string, Stats) {
+			f := miterFormulas(t, miter.ER, gen.RippleCarryAdder(8), als.LowerORAdder(8, 3))[0]
+			in := inputVars(f)
+			f.Xors = append(f.Xors, cnf.XorClause{Vars: []int32{in[0], in[3], in[9]}, Rhs: true})
+			f.Clauses = append(f.Clauses, cnf.Clause{-in[5]})
+			r, err := ApproxCount(ctx, f, ApproxConfig{Epsilon: 0.8, Delta: 0.2, Seed: 3, Sampling: in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.Count.String(), r.Stats
+		}, "9472", Stats{
+			Decisions: 1195, Propagations: 514890, Components: 2337, CacheHits: 181, CacheStores: 2156, FailedLiterals: 1889,
+			Learned: 488, XorPropagations: 264299, GaussReductions: 961, ApproxProbes: 26, SupportBefore: 16, SupportAfter: 14,
+		}},
 	}
-	const refPropagations = 112109
-	if st.Propagations*10 > refPropagations*6 {
-		t.Errorf("%d propagations, want at most 0.6x of %d", st.Propagations, refPropagations)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			value, got := c.run()
+			if value != c.value || got != c.want {
+				t.Errorf("value %s, stats %+v;\nwant value %s, stats %+v", value, got, c.value, c.want)
+			}
+		})
 	}
 }

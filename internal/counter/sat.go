@@ -44,65 +44,33 @@ func (s *Solver) Satisfiable(ctx context.Context) (bool, error) {
 }
 
 // satComponent reports (satisfiable, completed). Every component must be
-// satisfiable for the formula to be.
-func (s *Solver) satComponent(comp *component) (bool, bool) {
+// satisfiable for the formula to be, so the branch loop stops at the
+// first phase whose components all are.
+func (s *Solver) satComponent(comp *component) (sat, ok bool) {
 	if s.checkAbort() {
 		return false, false
 	}
-	var key string
-	if s.cache != nil {
-		key = s.cacheKey(comp)
-		if v, cross, ok := s.cache.Lookup(key, s.cfg.CacheOwner); ok {
-			s.stats.CacheHits++
-			if cross {
-				s.stats.CacheCrossHits++
-			}
-			return v.Sign() != 0, true
-		}
-	}
-	if cnt, ok := s.tryGauss(comp); ok {
-		if cnt == nil { // cancelled during the recursive solve
-			return false, false
-		}
-		s.cacheStore(key, cnt)
-		return cnt.Sign() != 0, true
-	}
-	if cnt, ok := s.trySimulate(comp); ok {
-		if cnt == nil { // cancelled mid-simulation
-			return false, false
-		}
-		s.cacheStore(key, cnt)
-		return cnt.Sign() != 0, true
+	cnt, key, done := s.settle(comp)
+	if done {
+		return cnt != nil && cnt.Sign() != 0, cnt != nil
 	}
 	v := s.pickVar(comp)
 	s.stats.Decisions++
 	for _, lit := range [2]int32{v, -v} {
-		mark := len(s.trail)
-		s.curLevel++
-		s.propQ = append(s.propQ, propItem{lit, reasonDecision})
-		if s.propagate() && (s.cfg.DisableIBCP || s.failedLiteralFixpoint(comp.vars)) {
+		a, consistent := s.assume(comp.vars, reasonDecision, lit)
+		sat, ok = consistent, true
+		if consistent {
 			comps, _ := s.findComponents(comp.vars)
-			all := true
 			for _, sc := range comps {
-				sat, ok := s.satComponent(sc)
-				if !ok {
-					s.undoTo(mark)
-					s.curLevel--
-					return false, false
-				}
-				if !sat {
-					all = false
+				if sat, ok = s.satComponent(sc); !sat {
 					break
 				}
 			}
-			if all {
-				s.undoTo(mark)
-				s.curLevel--
-				return true, true
-			}
 		}
-		s.undoTo(mark)
-		s.curLevel--
+		s.retract(a)
+		if sat || !ok {
+			return sat, ok
+		}
 	}
 	// Unsatisfiable components are safe to cache as count 0.
 	s.cacheStore(key, bigZero)

@@ -1,9 +1,8 @@
 package counter
 
 import (
-	"math/bits"
-
 	"vacsem/internal/cnf"
+	"vacsem/internal/gf2"
 )
 
 // Independent-support minimization for the approx backend.
@@ -111,100 +110,37 @@ func definedSamplingVars(s *Solver, isSampling []bool) map[int32]bool {
 		return nil
 	}
 	cols := append(gateCols, sampCols...)
-	ncols := len(cols)
-	words := (ncols + 63) / 64
-	rank := make(map[int32]int, ncols)
 	for i, v := range cols {
-		rank[v] = i
+		s.varRank[v] = int32(i)
 	}
-
-	var rows [][]uint64
+	// The right-hand sides are irrelevant: definability only needs the
+	// support pattern (consistency was already established by
+	// propagation).
+	var m gf2.System
+	m.Reset(len(cols))
 	for xi := range s.xors {
 		if s.xorFree[xi] == 0 {
 			continue
 		}
-		row := make([]uint64, words)
+		i := m.AddRow(false)
 		for _, v := range s.xors[xi].Vars {
-			if s.assign[v] != unassigned {
-				continue
+			if s.assign[v] == unassigned {
+				m.Flip(i, int(s.varRank[v]))
 			}
-			r := uint(rank[v])
-			row[r/64] ^= 1 << (r % 64)
 		}
-		rows = append(rows, row)
 	}
+	rank, _ := m.Eliminate()
 
-	// Gauss–Jordan to RREF over the ordered columns. The right-hand
-	// sides are irrelevant: definability only needs the support pattern
-	// (consistency was already established by propagation).
-	n := len(rows)
-	r := 0
-	for col := 0; col < ncols && r < n; col++ {
-		w, bit := col/64, uint(col%64)
-		pivot := -1
-		for i := r; i < n; i++ {
-			if rows[i][w]>>bit&1 == 1 {
-				pivot = i
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		rows[r], rows[pivot] = rows[pivot], rows[r]
-		for i := 0; i < n; i++ {
-			if i == r || rows[i][w]>>bit&1 == 0 {
-				continue
-			}
-			for k := range rows[i] {
-				rows[i][k] ^= rows[r][k]
-			}
-		}
-		r++
-	}
-
-	// A row whose pivot is a sampling column and whose other columns are
-	// all sampling columns defines its pivot from the rest of the
-	// sampling set. In RREF non-pivot columns are never pivots of any
-	// row, so every such pivot is defined from *kept* variables and all
-	// of them drop together.
-	gateBoundary := len(gateCols)
+	// In RREF a row's pivot is its first column, so a row whose pivot is
+	// a sampling column holds only sampling columns: it defines its pivot
+	// from the rest of the sampling set. The other columns are not pivots
+	// of any row, so every such pivot is defined from *kept* variables
+	// and all of them drop together.
 	dropped := make(map[int32]bool)
-	for i := 0; i < r; i++ {
-		pcol, ok := firstSetBit(rows[i])
-		if !ok || pcol < gateBoundary {
-			continue // gate pivot: defines a gate var, not a sampling var
+	for i := 0; i < rank; i++ {
+		if p := m.Pivot(i); p >= len(gateCols) {
+			dropped[cols[p]] = true
 		}
-		defined := true
-		for k, wv := range rows[i] {
-			for wv != 0 {
-				c := k*64 + bits.TrailingZeros64(wv)
-				wv &= wv - 1
-				if c != pcol && c < gateBoundary {
-					defined = false
-					break
-				}
-			}
-			if !defined {
-				break
-			}
-		}
-		if defined {
-			dropped[cols[pcol]] = true
-		}
-	}
-	if len(dropped) == 0 {
-		return nil
 	}
 	return dropped
-}
-
-// firstSetBit returns the index of the lowest set bit of a bitset row.
-func firstSetBit(row []uint64) (int, bool) {
-	for k, wv := range row {
-		if wv != 0 {
-			return k*64 + bits.TrailingZeros64(wv), true
-		}
-	}
-	return 0, false
 }

@@ -2,7 +2,6 @@ package counter
 
 import (
 	"math/big"
-	"math/bits"
 
 	"vacsem/internal/cnf"
 )
@@ -124,9 +123,9 @@ func (s *Solver) hasActiveXor(v int32) bool {
 // rows. It returns (count, true) when the component was fully counted —
 // a parity contradiction (count 0) or a pure parity subsystem
 // (2^(n-rank)) — or when derived unit rows let the component be solved
-// by propagation plus sub-decomposition. It returns (nil, false) when
-// elimination found nothing to exploit, and (nil, true) with s.aborted
-// set when the solver was cancelled during the recursive solve.
+// by one search step asserting them. It returns (nil, false) when
+// elimination found nothing to exploit, and (nil, true) when the solver
+// was cancelled during that step.
 func (s *Solver) tryGauss(comp *component) (*big.Int, bool) {
 	if len(comp.xors) == 0 {
 		return nil, false
@@ -148,121 +147,44 @@ func (s *Solver) tryGauss(comp *component) (*big.Int, bool) {
 	}
 	// Mixed component with derived units: the units are consequences of
 	// the component's parity rows, so asserting them preserves the model
-	// count. Propagate, decompose, and multiply — branchCount's body
-	// without the decision.
+	// count. reasonAsserted, not a row reason: derived units come from row
+	// combinations, so no single row is a valid antecedent for them.
 	s.stats.GaussReductions++
-	mark := len(s.trail)
-	s.curLevel++
-	for _, lit := range units {
-		// reasonAsserted, not a row reason: derived units come from row
-		// combinations, so no single row is a valid antecedent for them.
-		s.propQ = append(s.propQ, propItem{lit, reasonAsserted})
-		s.stats.XorPropagations++
-	}
-	total := big.NewInt(0)
-	if s.propagate() && (s.cfg.DisableIBCP || s.failedLiteralFixpoint(comp.vars)) {
-		sub := big.NewInt(1)
-		comps, freeCount := s.findComponents(comp.vars)
-		sub.Lsh(sub, uint(freeCount))
-		for _, sc := range comps {
-			r := s.solveComponent(sc)
-			if r == nil {
-				s.undoTo(mark)
-				s.curLevel--
-				return nil, true
-			}
-			sub.Mul(sub, r)
-			if sub.Sign() == 0 {
-				break
-			}
-		}
-		total = sub
-	}
-	s.undoTo(mark)
-	s.curLevel--
-	return total, true
+	s.stats.XorPropagations += uint64(len(units))
+	return s.split(comp.vars, reasonAsserted, units...), true
 }
 
 // gaussEliminate reduces the component's active parity rows over its
-// free variables (Gauss-Jordan over GF(2) on bitset rows). It returns
-// the forced literals of derived single-variable rows, the rank of the
-// system, and whether it is consistent (no 0 = 1 row).
+// free variables. It returns the forced literals of derived
+// single-variable rows, the rank of the system, and whether it is
+// consistent (no 0 = 1 row).
 func (s *Solver) gaussEliminate(comp *component) (units []int32, rank int, consistent bool) {
-	ncols := len(comp.vars)
-	words := (ncols + 63) / 64
 	for i, v := range comp.vars {
 		s.varRank[v] = int32(i)
 	}
-	rows := s.gaussRows[:0]
-	rhs := s.gaussRhs[:0]
+	m := &s.gauss
+	m.Reset(len(comp.vars))
 	for _, xi := range comp.xors {
-		row := make([]uint64, words)
+		i := m.AddRow(s.xors[xi].Rhs != (s.xorPar[xi] == 1))
 		for _, v := range s.xors[xi].Vars {
-			if s.assign[v] != unassigned {
-				continue
-			}
-			r := uint(s.varRank[v])
-			row[r/64] ^= 1 << (r % 64)
-		}
-		rows = append(rows, row)
-		rhs = append(rhs, s.xors[xi].Rhs != (s.xorPar[xi] == 1))
-	}
-	s.gaussRows, s.gaussRhs = rows, rhs
-
-	n := len(rows)
-	r := 0
-	for col := 0; col < ncols && r < n; col++ {
-		w, bit := col/64, uint(col%64)
-		pivot := -1
-		for i := r; i < n; i++ {
-			if rows[i][w]>>bit&1 == 1 {
-				pivot = i
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		rows[r], rows[pivot] = rows[pivot], rows[r]
-		rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-		for i := 0; i < n; i++ {
-			if i == r || rows[i][w]>>bit&1 == 0 {
-				continue
-			}
-			for k := range rows[i] {
-				rows[i][k] ^= rows[r][k]
-			}
-			rhs[i] = rhs[i] != rhs[r]
-		}
-		r++
-	}
-	// Zero rows with rhs true are the contradiction 0 = 1.
-	for i := r; i < n; i++ {
-		if rhs[i] {
-			return nil, r, false
-		}
-	}
-	// Single-bit rows are derived units.
-	for i := 0; i < r; i++ {
-		pop, last := 0, -1
-		for k, wv := range rows[i] {
-			if wv == 0 {
-				continue
-			}
-			pop += bits.OnesCount64(wv)
-			if pop > 1 {
-				break
-			}
-			last = k*64 + bits.TrailingZeros64(wv)
-		}
-		if pop == 1 {
-			v := comp.vars[last]
-			if rhs[i] {
-				units = append(units, v)
-			} else {
-				units = append(units, -v)
+			if s.assign[v] == unassigned {
+				m.Flip(i, int(s.varRank[v]))
 			}
 		}
 	}
-	return units, r, true
+	rank, consistent = m.Eliminate()
+	if !consistent {
+		return nil, rank, false
+	}
+	// Single-column rows are derived units.
+	for i := 0; i < rank; i++ {
+		if m.Weight(i) == 1 {
+			v := comp.vars[m.Pivot(i)]
+			if !m.Rhs(i) {
+				v = -v
+			}
+			units = append(units, v)
+		}
+	}
+	return units, rank, true
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"fmt"
+
+	"vacsem/internal/gf2"
 )
 
 // Parity is one affine constraint over a program's enumerated inputs:
@@ -36,67 +38,36 @@ type affinePivot struct {
 // Gauss–Jordan elimination. Rows may be dependent; an inconsistent
 // system yields the empty subspace.
 func NewSubspace(k int, rows []Parity) *Subspace {
-	words := (k + 64) / 64 // k coefficient bits, then the rhs bit at k
-	m := make([][]uint64, len(rows))
-	for i, row := range rows {
-		r := make([]uint64, words)
+	var m gf2.System
+	m.Reset(k)
+	for _, row := range rows {
+		i := m.AddRow(row.Rhs)
 		for _, x := range row.Inputs {
 			if x < 0 || x >= k {
 				panic(fmt.Sprintf("sim: parity row names input %d of %d", x, k))
 			}
-			r[x/64] ^= 1 << (x % 64)
+			m.Flip(i, x)
 		}
-		if row.Rhs {
-			r[k/64] |= 1 << (k % 64)
-		}
-		m[i] = r
 	}
-	bit := func(r []uint64, x int) bool { return r[x/64]>>(x%64)&1 == 1 }
 	s := &Subspace{k: k}
-	pivotOf := make([]int, 0, len(rows)) // column of each reduced row
-	rank := 0
-	for col := 0; col < k && rank < len(m); col++ {
-		p := -1
-		for i := rank; i < len(m); i++ {
-			if bit(m[i], col) {
-				p = i
-				break
-			}
-		}
-		if p < 0 {
-			continue
-		}
-		m[rank], m[p] = m[p], m[rank]
-		for i := range m {
-			if i != rank && bit(m[i], col) {
-				for w := range m[i] {
-					m[i][w] ^= m[rank][w]
-				}
-			}
-		}
-		pivotOf = append(pivotOf, col)
-		rank++
-	}
-	// Rows past the rank have no coefficient left: 0 = rhs.
-	for _, r := range m[rank:] {
-		if bit(r, k) {
-			s.empty = true
-			return s
-		}
+	rank, consistent := m.Eliminate()
+	if !consistent {
+		s.empty = true
+		return s
 	}
 	isPivot := make([]bool, k)
-	for _, col := range pivotOf {
-		isPivot[col] = true
+	for i := 0; i < rank; i++ {
+		isPivot[m.Pivot(i)] = true
 	}
 	for x := 0; x < k; x++ {
 		if !isPivot[x] {
 			s.free = append(s.free, x)
 		}
 	}
-	for i, col := range pivotOf {
-		pv := affinePivot{input: col, rhs: bit(m[i], k)}
+	for i := 0; i < rank; i++ {
+		pv := affinePivot{input: m.Pivot(i), rhs: m.Rhs(i)}
 		for _, x := range s.free {
-			if bit(m[i], x) {
+			if m.Bit(i, x) {
 				pv.of = append(pv.of, x)
 			}
 		}
