@@ -1,10 +1,8 @@
 package counter
 
 import (
-	"fmt"
 	"math/big"
 	"sync"
-	"time"
 
 	"vacsem/internal/obs"
 )
@@ -28,9 +26,8 @@ import (
 // from the map's randomized iteration order, the one with fewer hits
 // goes — instead of the old wholesale clear, so a long run keeps its hot
 // entries. Memory is accounted approximately (key bytes + count limbs +
-// fixed per-entry overhead) and surfaced through internal/obs alongside
-// per-shard hit/miss/store/eviction/cross-hit counters and a sampled
-// hit-latency histogram.
+// fixed per-entry overhead); Stats aggregates the per-shard activity
+// and internal/obs holds the high-water entry and byte gauges.
 //
 // Values handed to Store (and returned by Lookup) are shared across
 // goroutines and must never be mutated.
@@ -41,8 +38,7 @@ type Cache struct {
 }
 
 // cacheShards is the number of independently locked shards. A power of
-// two; 16 keeps lock contention negligible at typical worker counts
-// while the per-shard obs counters stay readable.
+// two; 16 keeps lock contention negligible at typical worker counts.
 const cacheShards = 16
 
 type cacheShard struct {
@@ -76,31 +72,12 @@ type CacheStats struct {
 	Bytes     int64 // approximate
 }
 
-// Per-shard registry handles, shared by every Cache in the process (obs
-// metrics are process-cumulative). The hit-latency histogram is sampled
-// every cacheLatencyEvery hits.
+// High-water registry gauges, shared by every Cache in the process (obs
+// metrics are process-cumulative).
 var (
-	shardHits      [cacheShards]*obs.Counter
-	shardMisses    [cacheShards]*obs.Counter
-	shardStores    [cacheShards]*obs.Counter
-	shardEvictions [cacheShards]*obs.Counter
-	shardCross     [cacheShards]*obs.Counter
-	gCacheEntries  = obs.Default.Gauge("counter.cache_entries_peak")
-	gCacheBytes    = obs.Default.Gauge("counter.cache_bytes_peak")
-	hCacheHit      = obs.Default.Histogram("counter.cache_hit_seconds", nil)
+	gCacheEntries = obs.Default.Gauge("counter.cache_entries_peak")
+	gCacheBytes   = obs.Default.Gauge("counter.cache_bytes_peak")
 )
-
-const cacheLatencyEvery = 64
-
-func init() {
-	for i := range shardHits {
-		shardHits[i] = obs.Default.Counter(fmt.Sprintf("counter.cache.shard%02d.hits", i))
-		shardMisses[i] = obs.Default.Counter(fmt.Sprintf("counter.cache.shard%02d.misses", i))
-		shardStores[i] = obs.Default.Counter(fmt.Sprintf("counter.cache.shard%02d.stores", i))
-		shardEvictions[i] = obs.Default.Counter(fmt.Sprintf("counter.cache.shard%02d.evictions", i))
-		shardCross[i] = obs.Default.Counter(fmt.Sprintf("counter.cache.shard%02d.cross_hits", i))
-	}
-}
 
 // defaultMaxCacheEntries bounds a cache whose caller gives no entry
 // bound: 4 million entries.
@@ -128,28 +105,25 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 
 // shardOf hashes the key (FNV-1a) and picks a shard by its top bits,
 // which are well mixed even for keys sharing long prefixes.
-func (c *Cache) shardOf(key string) (*cacheShard, int) {
+func (c *Cache) shardOf(key string) *cacheShard {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	i := int(h>>60) & (cacheShards - 1)
-	return &c.shards[i], i
+	return &c.shards[int(h>>60)&(cacheShards-1)]
 }
 
 // Lookup returns the cached count for key. cross reports that the entry
 // was stored under a different owner tag (a cross-sub-miter hit). The
 // returned count must not be mutated.
 func (c *Cache) Lookup(key string, owner int32) (cnt *big.Int, cross, ok bool) {
-	sh, i := c.shardOf(key)
-	start := time.Now()
+	sh := c.shardOf(key)
 	sh.mu.Lock()
 	e := sh.m[key]
 	if e == nil {
 		sh.misses++
 		sh.mu.Unlock()
-		shardMisses[i].Inc()
 		return nil, false, false
 	}
 	e.hits++
@@ -158,16 +132,8 @@ func (c *Cache) Lookup(key string, owner int32) (cnt *big.Int, cross, ok bool) {
 	if cross {
 		sh.cross++
 	}
-	sampled := sh.hits%cacheLatencyEvery == 0
 	cnt = e.cnt
 	sh.mu.Unlock()
-	shardHits[i].Inc()
-	if cross {
-		shardCross[i].Inc()
-	}
-	if sampled {
-		hCacheHit.Observe(time.Since(start).Seconds())
-	}
 	return cnt, cross, true
 }
 
@@ -177,13 +143,12 @@ func (c *Cache) Lookup(key string, owner int32) (cnt *big.Int, cross, ok bool) {
 // store of the same key keeps the first entry — both hold the same
 // exact count.
 func (c *Cache) Store(key string, cnt *big.Int, owner int32) (evicted int) {
-	sh, i := c.shardOf(key)
+	sh := c.shardOf(key)
 	sz := cacheEntryBytes(key, cnt)
 	sh.mu.Lock()
 	if sh.m[key] != nil {
 		sh.stores++
 		sh.mu.Unlock()
-		shardStores[i].Inc()
 		return 0
 	}
 	for (len(sh.m) >= c.maxPerShard) ||
@@ -199,10 +164,6 @@ func (c *Cache) Store(key string, cnt *big.Int, owner int32) (evicted int) {
 	sh.evicted += uint64(evicted)
 	entries, bytes := len(sh.m), sh.bytes
 	sh.mu.Unlock()
-	shardStores[i].Inc()
-	if evicted > 0 {
-		shardEvictions[i].Add(uint64(evicted))
-	}
 	// High-water gauges, scaled from the sampled shard (shards are
 	// statistically balanced by the key hash).
 	gCacheEntries.SetMax(int64(entries) * cacheShards)

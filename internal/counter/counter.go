@@ -389,15 +389,8 @@ func (s *Solver) Stats() Stats { return s.stats }
 // context.DeadlineExceeded — when the context ends before the count
 // completes; a time limit is a deadline on ctx.
 func (s *Solver) Count(ctx context.Context) (*big.Int, error) {
-	s.reset()
-	s.tr = obs.Active()
-	if s.tr != nil {
-		s.span = obs.SpanFrom(ctx)
-	}
+	s.begin(ctx)
 	defer s.finishObs()
-	if ctx.Done() != nil {
-		s.ctx = ctx
-	}
 	if !s.level0() {
 		return big.NewInt(0), nil
 	}
@@ -410,6 +403,21 @@ func (s *Solver) Count(ctx context.Context) (*big.Int, error) {
 		return nil, s.abortErr
 	}
 	return total, nil
+}
+
+// begin is the prologue of a Count or Satisfiable run under ctx: it
+// resets the solver and captures the active tracer, ctx's span, and ctx
+// itself when it can end. The caller defers finishObs, which books the
+// run's statistics.
+func (s *Solver) begin(ctx context.Context) {
+	s.reset()
+	s.tr = obs.Active()
+	if s.tr != nil {
+		s.span = obs.SpanFrom(ctx)
+	}
+	if ctx.Done() != nil {
+		s.ctx = ctx
+	}
 }
 
 func (s *Solver) reset() {

@@ -2,10 +2,12 @@ package counter
 
 import (
 	"context"
+	"math/big"
 	"sync"
 	"testing"
 
 	"vacsem/internal/als"
+	"vacsem/internal/circuit"
 	"vacsem/internal/cnf"
 	"vacsem/internal/gen"
 	"vacsem/internal/miter"
@@ -122,6 +124,33 @@ func TestFlushSumsToStats(t *testing.T) {
 		}
 		checkFlushed(t, before, sum)
 	})
+}
+
+// TestSatisfiableFlushesToRegistry: a satisfiability search (the
+// worst-case-error threshold query) books its statistics like Count
+// does — the registry moves by exactly its Stats and one count call,
+// under a cancellable context, which polls, and under
+// context.Background, which never does.
+func TestSatisfiableFlushesToRegistry(t *testing.T) {
+	f := miterFormulas(t, func(exact, approx *circuit.Circuit) (*circuit.Circuit, error) {
+		return miter.Threshold(exact, approx, big.NewInt(14))
+	}, gen.RippleCarryAdder(8), als.LowerORAdder(8, 4))[0]
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"cancellable": cancellable, "background": context.Background()} {
+		t.Run(name, func(t *testing.T) {
+			s := New(f, Config{})
+			before, calls := registryTotals(), mCounts.Value()
+			sat, err := s.Satisfiable(ctx)
+			if err != nil || sat {
+				t.Fatalf("Satisfiable = %v, %v; want false, nil", sat, err)
+			}
+			checkFlushed(t, before, s.stats)
+			if d := mCounts.Value() - calls; d != 1 {
+				t.Errorf("counter.count_calls moved by %d, want 1", d)
+			}
+		})
+	}
 }
 
 // BenchmarkFlushObs measures one registry flush with a non-empty delta,

@@ -17,10 +17,8 @@ var bigZero = big.NewInt(0)
 // assignment. It resets solver state, so it can be interleaved with
 // Count calls on the same solver, and honours ctx as Count does.
 func (s *Solver) Satisfiable(ctx context.Context) (bool, error) {
-	s.reset()
-	if ctx.Done() != nil {
-		s.ctx = ctx
-	}
+	s.begin(ctx)
+	defer s.finishObs()
 	if !s.level0() {
 		return false, nil
 	}

@@ -9,7 +9,7 @@ import (
 // Observability hooks of the solver. Everything in this file is a no-op
 // (a single nil check) when no tracer is installed; the metrics-registry
 // merge in flushObs is a handful of atomic adds per cancellation poll
-// and one more per Count call.
+// and one more per Count or Satisfiable call.
 //
 // Per-component and per-cache-operation events are sampled at the
 // tracer's HotEvery interval — a component cache can see millions of
@@ -57,8 +57,9 @@ func addStatsToRegistry(d Stats) {
 
 // flushObs merges the stats accrued since the previous flush into the
 // registry. It runs at every cancellation poll (checkAbort) and once
-// more at the end of Count; the flushed deltas always sum to the final
-// Stats, so the registry totals do not depend on how often it ran.
+// more at the end of each Count or Satisfiable run; the flushed deltas
+// always sum to the final Stats, so the registry totals do not depend
+// on how often it ran.
 func (s *Solver) flushObs() {
 	d := s.stats.Diff(s.flushed)
 	if d == (Stats{}) {

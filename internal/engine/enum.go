@@ -60,7 +60,7 @@ func restrict(m *circuit.Circuit, js []int) (*circuit.Circuit, uint) {
 func sweep(ctx context.Context, req *Request, js []int, workers int) ([]*big.Int, error) {
 	cone, shift := restrict(req.Miter, js)
 	start := time.Now()
-	ones, err := sim.CountOnesPerOutputWorkers(ctx, cone, workers)
+	ones, err := sim.CompileOutputs(cone).CountOnes(ctx, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -102,28 +102,13 @@ func (p *Program) CountOnesAffine(ctx context.Context, workers int, s *Subspace)
 		}
 		return make([]uint64, len(p.outputs)), nil
 	}
-	// CompileOutputs parks inputs outside every output cone in one shared
-	// write-only slot. A free input there gets a slot of its own, since a
-	// pivot may read it; a pivot there is never read and is not computed.
-	shared := make(map[int32]int, len(p.inputs))
-	for _, o := range p.inputs {
-		shared[o]++
-	}
 	q := &Program{nSlots: p.nSlots, outputs: p.outputs}
-	off := make([]int32, len(p.inputs))
-	copy(off, p.inputs)
+	off := p.inputs
 	for _, x := range s.free {
-		if shared[off[x]] > 1 {
-			off[x] = int32(q.nSlots) * BatchWords
-			q.nSlots++
-		}
 		q.inputs = append(q.inputs, off[x])
 	}
 	for _, pv := range s.pivots {
 		dst := off[pv.input]
-		if shared[dst] > 1 {
-			continue
-		}
 		switch len(pv.of) {
 		case 0: // constant: slot 0 holds zero
 			q.ins = append(q.ins, instr{op: xorOp(opBuf, opNot, pv.rhs), dst: dst})

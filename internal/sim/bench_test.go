@@ -3,10 +3,12 @@ package sim
 import (
 	"context"
 	"math/bits"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"vacsem/internal/circuit"
+	"vacsem/internal/gen"
 	"vacsem/internal/testutil"
 )
 
@@ -34,9 +36,9 @@ func reportPatterns(b *testing.B, total uint64) {
 
 // BenchmarkSimKernel compares one full exhaustive enumeration of the
 // bench miter across the implementations: the reference interpreter
-// (per-gate switch over circuit.Node), the unfused identity-slot tape,
-// the fused output-cone tape (the production enumeration path), and the
-// fused tape with the block range spread over all CPUs. The miter here
+// (per-gate switch over circuit.Node), the fused output-cone tape (the
+// production enumeration path), and the fused tape with the block range
+// spread over all CPUs. The miter here
 // is deliberately small (milliseconds per enumeration) — parallel rows
 // on it mostly measure worker startup; see BenchmarkSimKernelParallel
 // for the scaled workload.
@@ -63,17 +65,6 @@ func BenchmarkSimKernel(b *testing.B) {
 				for j := range counts {
 					counts[j] += uint64(bits.OnesCount64(e.Out(j)))
 				}
-			}
-		}
-		reportPatterns(b, total)
-	})
-
-	b.Run("tape", func(b *testing.B) {
-		p := Compile(c)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.CountOnes(context.Background(), 1); err != nil {
-				b.Fatal(err)
 			}
 		}
 		reportPatterns(b, total)
@@ -123,18 +114,56 @@ func BenchmarkSimKernelParallel(b *testing.B) {
 }
 
 // BenchmarkCompile measures the one-time tape lowering cost the kernel
-// pays per circuit (it is amortized over the whole enumeration), for
-// both the identity-slot and the fused compiler.
+// pays per circuit (it is amortized over the whole enumeration) and per
+// counter component (paid on every accepted simulation call): the
+// bench circuit's output cones, and the circuit as a component that
+// requires every output to be 1.
 func BenchmarkCompile(b *testing.B) {
 	c := benchCircuit()
-	b.Run("identity", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Compile(c)
-		}
-	})
 	b.Run("fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			CompileOutputs(c)
 		}
 	})
+	b.Run("component", func(b *testing.B) {
+		var gates, free []int32
+		for id := range c.Nodes {
+			if c.Nodes[id].Kind.IsGate() {
+				gates = append(gates, int32(id))
+			}
+		}
+		for _, id := range c.Inputs {
+			free = append(free, int32(id))
+		}
+		isOut := make(map[int32]bool)
+		for _, id := range c.Outputs {
+			isOut[int32(id)] = true
+		}
+		check := func(g int32) int8 {
+			if isOut[g] {
+				return 1
+			}
+			return 0
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := CompileComponent(c, gates, free, nil, check); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkRunAllNodes measures the signature path of simulation-guided
+// approximate synthesis: one RunAllNodes call (lowering plus evaluation
+// plus gathering every node's words) on an 8-bit array multiplier over
+// 64 words of random vectors, the shape of one ALS move.
+func BenchmarkRunAllNodes(b *testing.B) {
+	c := gen.ArrayMultiplier(8)
+	const words = 64
+	vectors := RandomVectors(c.NumInputs(), words, rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RunAllNodes(c, vectors, words)
+	}
 }

@@ -36,7 +36,7 @@ func TestCountOnesPerOutputCtxCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := CountOnesPerOutputWorkers(ctx, c, 1)
+	_, err := CompileOutputs(c).CountOnes(ctx, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

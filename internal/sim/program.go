@@ -107,11 +107,6 @@ func (p *Program) NumOutputs() int { return len(p.outputs) }
 // fusion, plus check instructions for component programs).
 func (p *Program) Len() int { return len(p.ins) }
 
-func (p *Program) finish() {
-	p.initPool()
-	mCompiles.Add(1)
-}
-
 // initPool sets up the pool of per-call value arrays.
 func (p *Program) initPool() {
 	p.pool.New = func() any {
@@ -159,6 +154,18 @@ func (lw *lowerer) newOff() int32 {
 
 func (lw *lowerer) emit(op opcode, dst, a, b, c int32) {
 	lw.ins = append(lw.ins, instr{op: op, dst: dst, a: a, b: b, c: c})
+}
+
+// program completes p, whose inputs and outputs are set, with the
+// emitted tape and slot count, and books the compilation begun at start.
+func (lw *lowerer) program(p *Program, start time.Time) *Program {
+	p.ins = lw.ins
+	p.nSlots = lw.nSlots
+	p.initPool()
+	mFusedNodes.Add(lw.fused)
+	mCompiles.Add(1)
+	hCompileSeconds.Observe(time.Since(start).Seconds())
+	return p
 }
 
 // materialize returns a slot offset holding the literal's value as a
@@ -280,141 +287,118 @@ func (lw *lowerer) lowerGate(kind circuit.Kind, fi [3]lit) (lit, error) {
 	}
 }
 
-// gateInstr lowers one gate node to an unfused tape entry. off maps
-// node id to the node's word offset. Used by Compile, which must keep
-// every node's value addressable (slot == node id) and therefore cannot
-// fold Buf/Not away.
-func gateInstr(nd *circuit.Node, dst int32, off func(int) int32) (instr, error) {
-	in := instr{dst: dst}
-	switch len(nd.Fanins) {
-	case 1:
-		in.a = off(nd.Fanins[0])
-	case 2:
-		in.a, in.b = off(nd.Fanins[0]), off(nd.Fanins[1])
-	case 3:
-		in.a, in.b, in.c = off(nd.Fanins[0]), off(nd.Fanins[1]), off(nd.Fanins[2])
-	}
-	switch nd.Kind {
-	case circuit.Buf:
-		in.op = opBuf
-	case circuit.Not:
-		in.op = opNot
-	case circuit.And:
-		in.op = opAnd
-	case circuit.Nand:
-		in.op = opNand
-	case circuit.Or:
-		in.op = opOr
-	case circuit.Nor:
-		in.op = opNor
-	case circuit.Xor:
-		in.op = opXor
-	case circuit.Xnor:
-		in.op = opXnor
-	case circuit.Mux:
-		in.op = opMux
-	case circuit.Maj:
-		in.op = opMaj
-	default:
-		return instr{}, fmt.Errorf("sim: cannot compile %v gate", nd.Kind)
-	}
-	return in, nil
+// litTable maps node ids to their lowered literals: densely, indexed by
+// node id, for a whole circuit (the zero literal, constant zero, is the
+// value of Const0 and of every gate the lowering dropped), or sparsely
+// for a component, whose table stays sized by the component rather
+// than the host circuit.
+type litTable struct {
+	dense  []lit
+	sparse map[int32]lit
 }
 
-// Compile lowers a full circuit to a Program. Slot assignment is the
-// identity (slot == node id), so callers can read any node's words back
-// from the value array; the primary outputs become the program outputs
-// and the primary inputs, in circuit order, the enumerated inputs. No
-// fusion happens here — use CompileOutputs when only the outputs matter.
-func Compile(c *circuit.Circuit) *Program {
-	start := time.Now()
-	p := &Program{nSlots: len(c.Nodes)}
-	off := func(id int) int32 { return int32(id) * BatchWords }
-	p.ins = make([]instr, 0, c.NumGates())
-	for id := 1; id < len(c.Nodes); id++ {
-		nd := &c.Nodes[id]
-		if nd.Kind == circuit.Input || nd.Kind == circuit.Const0 {
+func (t *litTable) get(id int32) (lit, bool) {
+	if t.sparse == nil {
+		return t.dense[id], true
+	}
+	l, ok := t.sparse[id]
+	return l, ok
+}
+
+func (t *litTable) set(id int32, l lit) {
+	if t.sparse == nil {
+		t.dense[id] = l
+	} else {
+		t.sparse[id] = l
+	}
+}
+
+// accOff is the word offset of a component program's consistency
+// accumulator, slot 1 (slot 0 is constant zero).
+const accOff = 1 * BatchWords
+
+// lowerGates is the one gate-lowering loop: it lowers gates, in
+// topological (ascending id) order, over the fanin literals in lits and
+// records each gate's literal there. A fanin missing from lits must be
+// the constant. When check is non-nil (a component program), each gate
+// check requires to be 1 (+1) or 0 (-1) is ANDed into the accumulator,
+// complement edges selecting opAnd or opAndN.
+func (lw *lowerer) lowerGates(c *circuit.Circuit, gates []int32, lits *litTable, check func(int32) int8) error {
+	for _, g := range gates {
+		nd := &c.Nodes[g]
+		var fi [3]lit
+		for k, f := range nd.Fanins {
+			l, ok := lits.get(int32(f))
+			if !ok && c.Nodes[f].Kind != circuit.Const0 {
+				// Neither a lowered gate, an input nor the constant: the
+				// caller's gate set (a recovered component) missed it.
+				return fmt.Errorf("sim: gate %d has unmapped fanin %d", g, f)
+			}
+			fi[k] = l
+		}
+		l, err := lw.lowerGate(nd.Kind, fi)
+		if err != nil {
+			return err
+		}
+		lits.set(g, l)
+		if check == nil {
 			continue
 		}
-		in, err := gateInstr(nd, off(id), off)
-		if err != nil {
-			panic(err) // unreachable: Kind set covered above
+		switch want := check(g); {
+		case want == 0:
+		case (want == 1) != l.neg: // keep patterns where the literal word is 1
+			lw.emit(opAnd, accOff, accOff, l.off, 0)
+		default: // keep patterns where the literal word is 0
+			lw.emit(opAndN, accOff, accOff, l.off, 0)
 		}
-		p.ins = append(p.ins, in)
 	}
-	p.inputs = make([]int32, len(c.Inputs))
+	return nil
+}
+
+// lowerCircuit lowers c into lw, a fresh lowerer with slot 0 reserved
+// for constant zero, over one slot per primary input, in circuit order —
+// every input stays enumerated, since the pattern space is 2^NumInputs,
+// whether or not a lowered gate reads it — and every gate live marks,
+// or every gate when live is nil; the other gates are dropped. It
+// returns the program with its inputs set and every node's literal.
+func (lw *lowerer) lowerCircuit(c *circuit.Circuit, live []bool) (*Program, []lit) {
+	lits := make([]lit, len(c.Nodes))
+	p := &Program{inputs: make([]int32, len(c.Inputs))}
 	for i, id := range c.Inputs {
-		p.inputs[i] = off(id)
+		p.inputs[i] = lw.newOff()
+		lits[id] = lit{off: p.inputs[i]}
 	}
-	p.outputs = make([]int32, len(c.Outputs))
-	for j, id := range c.Outputs {
-		p.outputs[j] = off(id)
+	gates := make([]int32, 0, len(c.Nodes)-len(c.Inputs))
+	for id := range c.Nodes {
+		switch {
+		case !c.Nodes[id].Kind.IsGate():
+		case live == nil || live[id]:
+			gates = append(gates, int32(id))
+		default:
+			lw.fused++ // dead gate
+		}
 	}
-	p.finish()
-	hCompileSeconds.Observe(time.Since(start).Seconds())
-	return p
+	if err := lw.lowerGates(c, gates, &litTable{dense: lits}, nil); err != nil {
+		panic(err) // unreachable: Validate rejects unknown kinds
+	}
+	return p, lits
 }
 
 // CompileOutputs lowers the output cones of a circuit to a fused
 // Program: Buf/Not nodes fold into complement edges, complemented
 // operands select fused opcodes, gates outside every output cone are
-// dropped, and slots are compacted to the live nodes — so the tape is
-// shorter and the value array smaller than Compile's. Only the outputs
-// are addressable afterwards; use Compile when per-node signatures must
-// be readable back. Counts are bit-identical to Compile's (same logic
-// functions, same enumeration order).
+// dropped, and slots are compacted to the inputs and the live gates.
+// The primary inputs, in circuit order, are the enumerated inputs and
+// the primary outputs the counted outputs.
 func CompileOutputs(c *circuit.Circuit) *Program {
 	start := time.Now()
-	lw := newLowerer(1) // slot 0: constant zero
-	mark := c.ConeMark(c.Outputs...)
-	lits := make([]lit, len(c.Nodes)) // zero value = constant-zero literal
-	p := &Program{}
-	p.inputs = make([]int32, len(c.Inputs))
-	// Inputs keep their circuit order; inputs outside every output cone
-	// share one write-only slot (they must stay enumerated — the pattern
-	// space is 2^NumInputs — but their words are never read).
-	dummy := int32(-1)
-	for i, id := range c.Inputs {
-		if mark[id] {
-			off := lw.newOff()
-			lits[id] = lit{off: off}
-			p.inputs[i] = off
-		} else {
-			if dummy < 0 {
-				dummy = lw.newOff()
-			}
-			p.inputs[i] = dummy
-		}
-	}
-	for id := 1; id < len(c.Nodes); id++ {
-		nd := &c.Nodes[id]
-		if nd.Kind == circuit.Input || nd.Kind == circuit.Const0 {
-			continue
-		}
-		if !mark[id] {
-			lw.fused++ // dead gate
-			continue
-		}
-		var fi [3]lit
-		for k, f := range nd.Fanins {
-			fi[k] = lits[f]
-		}
-		l, err := lw.lowerGate(nd.Kind, fi)
-		if err != nil {
-			panic(err) // unreachable: Validate rejects unknown kinds
-		}
-		lits[id] = l
-	}
+	lw := newLowerer(1)
+	p, lits := lw.lowerCircuit(c, c.ConeMark(c.Outputs...))
 	p.outputs = make([]int32, len(c.Outputs))
 	for j, id := range c.Outputs {
 		p.outputs[j] = lw.materialize(lits[id])
 	}
-	p.ins = lw.ins
-	p.nSlots = lw.nSlots
-	mFusedNodes.Add(lw.fused)
-	p.finish()
-	hCompileSeconds.Observe(time.Since(start).Seconds())
-	return p
+	return lw.program(p, start)
 }
 
 // CompileComponent lowers a gate subset to a fused Program whose single
@@ -433,14 +417,11 @@ func CompileOutputs(c *circuit.Circuit) *Program {
 func CompileComponent(c *circuit.Circuit, gates []int32, freeInputs []int32, pinned []PinnedInput, check func(int32) int8) (*Program, error) {
 	start := time.Now()
 	lw := newLowerer(2) // slot 0: constant zero; slot 1: accumulator
-	accOff := int32(1) * BatchWords
 	lits := make(map[int32]lit, len(gates)+len(freeInputs)+len(pinned))
-	p := &Program{}
-	p.inputs = make([]int32, len(freeInputs))
+	p := &Program{inputs: make([]int32, len(freeInputs)), outputs: []int32{accOff}}
 	for i, n := range freeInputs {
-		off := lw.newOff()
-		lits[n] = lit{off: off}
-		p.inputs[i] = off
+		p.inputs[i] = lw.newOff()
+		lits[n] = lit{off: p.inputs[i]}
 	}
 	for _, pi := range pinned {
 		// Slot 0 is constant zero, so a pinned-1 input is its complement
@@ -448,41 +429,10 @@ func CompileComponent(c *circuit.Circuit, gates []int32, freeInputs []int32, pin
 		lits[pi.Node] = lit{off: 0, neg: pi.Val}
 	}
 	lw.emit(opOnes, accOff, 0, 0, 0)
-	for _, g := range gates {
-		nd := &c.Nodes[g]
-		var fi [3]lit
-		for k, fn := range nd.Fanins {
-			l, ok := lits[int32(fn)]
-			if !ok {
-				if c.Nodes[fn].Kind != circuit.Const0 {
-					// A fanin that is neither a mapped gate, a free input,
-					// nor a pinned input: the component recovery missed it.
-					return nil, fmt.Errorf("sim: component gate %d has unmapped fanin %d", g, fn)
-				}
-				lits[int32(fn)] = lit{}
-			}
-			fi[k] = l
-		}
-		l, err := lw.lowerGate(nd.Kind, fi)
-		if err != nil {
-			return nil, err
-		}
-		lits[g] = l
-		switch want := check(g); {
-		case want == 0:
-		case (want == 1) != l.neg: // keep patterns where the literal word is 1
-			lw.emit(opAnd, accOff, accOff, l.off, 0)
-		default: // keep patterns where the literal word is 0
-			lw.emit(opAndN, accOff, accOff, l.off, 0)
-		}
+	if err := lw.lowerGates(c, gates, &litTable{sparse: lits}, check); err != nil {
+		return nil, err
 	}
-	p.outputs = []int32{accOff}
-	p.ins = lw.ins
-	p.nSlots = lw.nSlots
-	mFusedNodes.Add(lw.fused)
-	p.finish()
-	hCompileSeconds.Observe(time.Since(start).Seconds())
-	return p, nil
+	return lw.program(p, start), nil
 }
 
 // evalBatch runs the tape over all BatchWords words of the value array.

@@ -43,6 +43,53 @@ func TestProgramMatchesEngineAllNodes(t *testing.T) {
 	}
 }
 
+// TestRunAllNodesMatchesInterpreter: every node's signature, read out of
+// the fused tape through its literal, equals the interpreter's word on a
+// circuit built to reach each literal case — Buf/Not chains (complement
+// edges over complement edges, an output on a complemented edge), Mux
+// and Maj gates with negated operands (folded into the output edge, or
+// materialized), the constants, a gate no output reaches, an input only
+// that gate reads and an input nothing reads — over word counts that
+// are not multiples of BatchWords.
+func TestRunAllNodesMatchesInterpreter(t *testing.T) {
+	c := circuit.New("lits")
+	a, b, s := c.AddInput("a"), c.AddInput("b"), c.AddInput("s")
+	u := c.AddInput("u")
+	c.AddInput("unused")
+	na := c.AddGate(circuit.Not, a)
+	nna := c.AddGate(circuit.Buf, c.AddGate(circuit.Not, c.AddGate(circuit.Buf, na)))
+	nb, ns := c.AddGate(circuit.Not, b), c.AddGate(circuit.Not, s)
+	one := c.Const1()
+	muxFolded := c.AddGate(circuit.Mux, ns, na, nb)
+	muxMat := c.AddGate(circuit.Mux, s, na, b)
+	majFolded := c.AddGate(circuit.Maj, na, nb, ns)
+	majMat := c.AddGate(circuit.Maj, nna, nb, one)
+	x := c.AddGate(circuit.Xnor, muxFolded, majFolded)
+	y := c.AddGate(circuit.Nand, muxMat, c.AddGate(circuit.Not, majMat))
+	c.AddGate(circuit.Or, c.AddGate(circuit.Not, u), x) // dead
+	c.SetOutputs(x, y, c.AddGate(circuit.Not, y), nna, 0)
+
+	rng := rand.New(rand.NewSource(3))
+	for _, words := range []int{1, 3, BatchWords + 5, 2*BatchWords + 1} {
+		vectors := RandomVectors(len(c.Inputs), words, rng)
+		sigs := RunAllNodes(c, vectors, words)
+		e := NewEngine(c)
+		in := make([]uint64, len(c.Inputs))
+		for w := 0; w < words; w++ {
+			for i := range in {
+				in[i] = vectors[i][w]
+			}
+			e.Run(in)
+			for id := range c.Nodes {
+				if sigs[id][w] != e.Val(id) {
+					t.Fatalf("words %d: node %d (%v) word %d: tape %#x, interpreter %#x",
+						words, id, c.Nodes[id].Kind, w, sigs[id][w], e.Val(id))
+				}
+			}
+		}
+	}
+}
+
 // TestParallelCountsBitIdentical pins the merge determinism claim:
 // per-output exhaustive counts are the same for 1, 2, and GOMAXPROCS
 // workers (uint64 addition is associative and commutative, so chunk
@@ -52,12 +99,13 @@ func TestParallelCountsBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		nIn := 14 + int(seed%4) // 2^14..2^17 patterns: hundreds of batches
 		c := testutil.RandomCircuit(nIn, 60+int(seed*11%80), 3, seed)
-		serial, err := CountOnesPerOutputWorkers(context.Background(), c, 1)
+		p := CompileOutputs(c)
+		serial, err := p.CountOnes(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8, runtime.GOMAXPROCS(0), 0} {
-			got, err := CountOnesPerOutputWorkers(context.Background(), c, workers)
+			got, err := p.CountOnes(context.Background(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +125,7 @@ func TestParallelCountsBitIdentical(t *testing.T) {
 func TestParallelCountsMatchBrute(t *testing.T) {
 	c := testutil.RandomCircuit(13, 70, 3, 42)
 	want := testutil.CountOnesBrute(c)
-	got, err := CountOnesPerOutputWorkers(context.Background(), c, 4)
+	got, err := CompileOutputs(c).CountOnes(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +184,11 @@ func TestCompileComponentCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Accumulator reset, three gates (the pinned input folds into an
+		// edge), two checks.
+		if prog.Len() != 6 {
+			t.Errorf("pin=%v: tape length %d, want 6", pinVal, prog.Len())
+		}
 		counts, err := prog.CountOnes(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
@@ -190,28 +243,26 @@ func TestRunHelpersCancel(t *testing.T) {
 	c := testutil.RandomCircuit(8, 30, 2, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CountOnesPerOutputWorkers(ctx, c, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountOnesPerOutputWorkers err = %v, want Canceled", err)
+	if _, err := CompileOutputs(c).CountOnes(ctx, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("CountOnes err = %v, want Canceled", err)
 	}
 }
 
 // TestFusedMatchesIdentityTape pins the fused compiler's core property:
 // CompileOutputs (complement edges, fused opcodes, dead-gate drop,
-// compacted slots) counts exactly what the unfused identity-slot tape
-// counts, over random circuits spanning the single-block, small-batch
-// (2 and 4 block) and multi-batch enumeration paths.
+// compacted slots) counts exactly what the reference interpreter's
+// node-by-node walk counts, over random circuits spanning the
+// single-block, small-batch (2 and 4 block) and multi-batch enumeration
+// paths, and its tape never holds more instructions than the circuit
+// has gates.
 func TestFusedMatchesIdentityTape(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		nIn := 1 + int(seed%16) // 2^1 .. 2^16 patterns
 		c := testutil.RandomCircuit(nIn, 5+int(seed*9%120), 1+int(seed%4), seed)
-		want, err := Compile(c).CountOnes(context.Background(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := interpCountOnes(c)
 		fused := CompileOutputs(c)
-		if fused.Len() > Compile(c).Len() {
-			t.Errorf("seed %d: fused tape longer than identity tape (%d > %d)",
-				seed, fused.Len(), Compile(c).Len())
+		if gates := len(c.Nodes) - len(c.Inputs) - 1; fused.Len() > gates {
+			t.Errorf("seed %d: fused tape longer than the circuit's %d gates (%d)", seed, gates, fused.Len())
 		}
 		got, err := fused.CountOnes(context.Background(), 1)
 		if err != nil {
@@ -219,25 +270,24 @@ func TestFusedMatchesIdentityTape(t *testing.T) {
 		}
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("seed %d output %d: fused %d, identity %d", seed, j, got[j], want[j])
+				t.Fatalf("seed %d output %d: fused %d, interpreter %d", seed, j, got[j], want[j])
 			}
 		}
 	}
 }
 
-// TestCountOnesCancelNoMetricLeak cancels an enumeration mid-flight and
-// asserts the kernel's success metrics (patterns/blocks, and the
-// enum-path aggregates feeding /metrics and bench reports) do not
-// advance: a cancelled run must not leak a partial count into any
-// derived throughput.
+// TestCountOnesCancelNoMetricLeak cancels an enumeration and asserts
+// the kernel's success metrics (patterns, blocks, seconds — the
+// aggregates feeding /metrics and bench reports) do not advance: a
+// cancelled run must not leak a partial count into any derived
+// throughput.
 func TestCountOnesCancelNoMetricLeak(t *testing.T) {
 	c := testutil.RandomCircuit(28, 600, 2, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	beforeKP, beforeKB := mKernelPatterns.Value(), mKernelBlocks.Value()
-	beforeEP, beforeEB := mEnumPatterns.Value(), mEnumBlocks.Value()
-	beforeKS, beforeES := hKernelSeconds.Count(), hEnumSeconds.Count()
-	if _, err := CountOnesPerOutputWorkers(ctx, c, 2); !errors.Is(err, context.Canceled) {
+	beforeKS := hKernelSeconds.Count()
+	if _, err := CompileOutputs(c).CountOnes(ctx, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if v := mKernelPatterns.Value(); v != beforeKP {
@@ -246,17 +296,8 @@ func TestCountOnesCancelNoMetricLeak(t *testing.T) {
 	if v := mKernelBlocks.Value(); v != beforeKB {
 		t.Errorf("sim.kernel_blocks advanced by %d on a cancelled run", v-beforeKB)
 	}
-	if v := mEnumPatterns.Value(); v != beforeEP {
-		t.Errorf("sim.enum_patterns advanced by %d on a cancelled run", v-beforeEP)
-	}
-	if v := mEnumBlocks.Value(); v != beforeEB {
-		t.Errorf("sim.enum_blocks advanced by %d on a cancelled run", v-beforeEB)
-	}
 	if v := hKernelSeconds.Count(); v != beforeKS {
 		t.Errorf("sim.kernel_seconds observed %d samples on a cancelled run", v-beforeKS)
-	}
-	if v := hEnumSeconds.Count(); v != beforeES {
-		t.Errorf("sim.enum_batch_seconds observed %d samples on a cancelled run", v-beforeES)
 	}
 }
 

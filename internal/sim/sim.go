@@ -8,51 +8,11 @@
 package sim
 
 import (
-	"context"
 	"math/rand"
 	"time"
 
 	"vacsem/internal/circuit"
-	"vacsem/internal/obs"
 )
-
-// Metrics of the exhaustive-enumeration path. Updates happen once per
-// enumeration (one CountOnesPerOutputWorkers call), not per block, so
-// the always-on cost is a few atomic adds per enumeration.
-var (
-	mEnumPatterns = obs.Default.Counter("sim.enum_patterns")
-	mEnumBlocks   = obs.Default.Counter("sim.enum_blocks")
-	hEnumSeconds  = obs.Default.Histogram("sim.enum_batch_seconds", nil)
-)
-
-// CountOnesPerOutputWorkers exhaustively counts, for every primary
-// output, the number of input patterns under which that output is 1,
-// compiling the circuit once and splitting the pattern-block range
-// across up to `workers` goroutines (<= 0 means GOMAXPROCS). Per-output
-// tallies are merged by addition, so the result is bit-identical to the
-// serial walk at any worker count. The block loop polls ctx once per
-// claimed work chunk.
-func CountOnesPerOutputWorkers(ctx context.Context, c *circuit.Circuit, workers int) ([]uint64, error) {
-	n := len(c.Inputs)
-	if n > 62 {
-		panic("sim: exhaustive enumeration beyond 62 inputs")
-	}
-	total := uint64(1) << uint(n)
-	blocks := (total + 63) / 64
-	if blocks == 0 {
-		blocks = 1
-	}
-	start := time.Now()
-	p := CompileOutputs(c)
-	counts, err := p.CountOnes(ctx, workers)
-	if err != nil {
-		return nil, err
-	}
-	mEnumPatterns.Add(total)
-	mEnumBlocks.Add(blocks)
-	hEnumSeconds.Observe(time.Since(start).Seconds())
-	return counts, nil
-}
 
 // RandomVectors fills count simulation words per input from the given
 // source, returning a matrix indexed [input][word].
@@ -89,18 +49,29 @@ func RunMany(c *circuit.Circuit, vectors [][]uint64, words int) [][]uint64 {
 // input vectors and returns the full per-node signatures, indexed
 // [node][word]. Signatures are the workhorse of simulation-guided
 // approximate synthesis: two nodes with close signatures are candidates
-// for substitution. Full-circuit programs assign slot i to node i, so
-// the signatures are gathered straight out of the kernel's value array.
+// for substitution. Every gate is lowered (none is dead here) and keeps
+// its literal, so a node's signature is gathered out of the kernel's
+// value array as its literal's slot, complemented when the literal is.
 func RunAllNodes(c *circuit.Circuit, vectors [][]uint64, words int) [][]uint64 {
-	p := Compile(c)
+	start := time.Now()
+	lw := newLowerer(1)
+	p, lits := lw.lowerCircuit(c, nil)
+	lw.program(p, start)
 	sigs := make([][]uint64, len(c.Nodes))
+	buf := make([]uint64, len(c.Nodes)*words)
 	for id := range sigs {
-		sigs[id] = make([]uint64, words)
+		sigs[id] = buf[id*words : (id+1)*words : (id+1)*words]
 	}
 	p.runVectors(vectors, words, func(v []uint64, w0, n int) {
-		for id := range sigs {
-			o := int32(id) * BatchWords
-			copy(sigs[id][w0:w0+n], v[o:o+int32(n)])
+		for id, l := range lits {
+			dst, src := sigs[id][w0:w0+n], v[l.off:l.off+int32(n)]
+			if !l.neg {
+				copy(dst, src)
+				continue
+			}
+			for w := range dst {
+				dst[w] = ^src[w]
+			}
 		}
 	})
 	return sigs

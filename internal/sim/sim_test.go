@@ -13,7 +13,7 @@ import (
 // countOnes is the serial exhaustive count of every output of c.
 func countOnes(t *testing.T, c *circuit.Circuit) []uint64 {
 	t.Helper()
-	counts, err := CountOnesPerOutputWorkers(context.Background(), c, 1)
+	counts, err := CompileOutputs(c).CountOnes(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
