@@ -90,8 +90,7 @@ func run() (exitCode int) {
 	report := flag.String("report", "auto", "JSON report path; auto = BENCH_<timestamp>.json, none = disabled")
 	tracePath := flag.String("trace", "", "write span/event trace (JSON lines) to this file")
 	metricsFmt := flag.String("obs-metrics", "", "print end-of-run metrics to stderr: table or json")
-	pprofAddr := flag.String("pprof", "", "serve live net/http/pprof on this address (e.g. localhost:6060)")
-	introspect := flag.String("introspect", "", "serve the live introspection server on this address: /metrics, /debug/vacsem/progress, /debug/pprof (may equal -pprof to share one listener)")
+	introspect := flag.String("introspect", "", "serve the live introspection server on this address: /metrics, /debug/vacsem/progress, /debug/pprof")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	diffMode := flag.Bool("diff", false, "compare two bench reports (args: OLD.json NEW.json); exit 1 on a changed count or a lost run")
@@ -105,7 +104,6 @@ func run() (exitCode int) {
 		TracePath:      *tracePath,
 		CPUProfile:     *cpuProfile,
 		MemProfile:     *memProfile,
-		PprofAddr:      *pprofAddr,
 		IntrospectAddr: *introspect,
 	})
 	if err != nil {

@@ -37,9 +37,8 @@
 // internal/obs; -obs-metrics table|json dumps the metrics registry
 // after the run; -introspect ADDR serves the live introspection server
 // (/metrics Prometheus exposition, /debug/vacsem/progress event stream,
-// /debug/pprof) and may share -pprof's address; -pprof ADDR serves live
-// net/http/pprof; -cpuprofile and -memprofile write pprof files. None
-// of these change the verified counts.
+// live /debug/pprof profiles); -cpuprofile and -memprofile write pprof
+// files. None of these change the verified counts.
 package main
 
 import (
@@ -92,8 +91,7 @@ func run() (exitCode int) {
 		verbose     = flag.Bool("v", false, "print per-output-bit details")
 		tracePath   = flag.String("trace", "", "write span/event trace (JSON lines) to this file")
 		metricsFmt  = flag.String("obs-metrics", "", "print end-of-run metrics registry: table or json")
-		pprofAddr   = flag.String("pprof", "", "serve live net/http/pprof on this address (e.g. localhost:6060)")
-		introspect  = flag.String("introspect", "", "serve the live introspection server on this address: /metrics, /debug/vacsem/progress, /debug/pprof (may equal -pprof to share one listener)")
+		introspect  = flag.String("introspect", "", "serve the live introspection server on this address: /metrics, /debug/vacsem/progress, /debug/pprof")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
@@ -108,7 +106,6 @@ func run() (exitCode int) {
 		TracePath:      *tracePath,
 		CPUProfile:     *cpuProfile,
 		MemProfile:     *memProfile,
-		PprofAddr:      *pprofAddr,
 		IntrospectAddr: *introspect,
 	})
 	if err != nil {

@@ -66,7 +66,7 @@ type Manager struct {
 	// so even an exploding build emits only ~log2(limit) events).
 	iteCalls    uint64
 	iteReported uint64
-	span        obs.SpanID
+	evCtx       context.Context // Build's context, for bdd_growth events
 	growthNext  int
 }
 
@@ -134,8 +134,8 @@ func (m *Manager) mk(level int32, low, high Ref) (Ref, error) {
 	m.unique[key] = r
 	if len(m.nodes) >= m.growthNext {
 		m.growthNext *= 2
-		if tr := obs.Active(); tr != nil {
-			tr.Event(m.span, "bdd_growth", obs.Fields{
+		if obs.Active() != nil {
+			obs.Event(m.evCtx, "bdd_growth", obs.Fields{
 				"nodes": len(m.nodes), "ite_calls": m.iteCalls, "limit": m.limit,
 			})
 		}
@@ -371,11 +371,11 @@ func DFSOrder(c *circuit.Circuit) []int {
 // thousand recursion steps) and aborts with the context's error, and
 // bdd_growth trace events parent to ctx's span.
 func (m *Manager) Build(ctx context.Context, c *circuit.Circuit, pos []int, ids []int) ([]Ref, error) {
-	m.span = obs.SpanFrom(ctx)
+	m.evCtx = ctx
 	if ctx.Done() != nil { // an uncancellable context skips the polling cost
 		m.ctx = ctx
 	}
-	defer func() { m.ctx, m.span = nil, 0 }()
+	defer func() { m.ctx, m.evCtx = nil, nil }()
 	defer m.flushObs()
 	if c.NumInputs() != m.numVars {
 		return nil, fmt.Errorf("bdd: circuit has %d inputs, manager %d vars",

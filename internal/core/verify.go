@@ -325,34 +325,14 @@ type SessionResult struct {
 // remaining tasks with a shared component cache. Per-metric results are
 // bit-identical to standalone Verify calls at any worker count.
 func VerifyMetrics(ctx context.Context, exact, approx *circuit.Circuit, specs []MetricSpec, opt Options) (*SessionResult, error) {
-	be, err := engine.Lookup(opt.Method.String())
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
 	names := make([]string, len(specs))
 	for i, s := range specs {
 		names[i] = s.MetricName()
 	}
-	runID := ensureRunID(&ctx)
-	tr := obs.Active()
-	var span obs.SpanID
-	if tr != nil {
-		span = tr.StartSpan(obs.SpanFrom(ctx), "session", obs.Fields{
-			"session": strings.Join(names, "+"), "backend": opt.Method.String(),
-			"metrics": len(specs), "inputs": exact.NumInputs(),
-			"run_id": runID,
+	return session(ctx, strings.Join(names, "+"), len(specs), exact.NumInputs(), opt,
+		func(ctx context.Context) (*plan.Plan, error) {
+			return plan.Build(ctx, exact, approx, specs, opt.NoSynth)
 		})
-		ctx = obs.WithSpan(ctx, span)
-	}
-	p, err := plan.Build(ctx, exact, approx, specs, opt.NoSynth)
-	if err != nil {
-		if tr != nil {
-			tr.EndSpan(span, "session", obs.Fields{"error": err.Error()})
-		}
-		return nil, err
-	}
-	return runPlan(ctx, p, be, opt, start, tr, span)
 }
 
 // Verify verifies one metric: a single-spec VerifyMetrics session whose
@@ -382,48 +362,49 @@ func VerifyMiter(ctx context.Context, name string, m *circuit.Circuit, weights [
 	if len(weights) != m.NumOutputs() {
 		return nil, fmt.Errorf("core: %d weights for %d outputs", len(weights), m.NumOutputs())
 	}
-	be, err := engine.Lookup(opt.Method.String())
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	runID := ensureRunID(&ctx)
-	tr := obs.Active()
-	var span obs.SpanID
-	if tr != nil {
-		span = tr.StartSpan(obs.SpanFrom(ctx), "session", obs.Fields{
-			"session": name, "backend": opt.Method.String(),
-			"metrics": 1, "inputs": m.NumInputs(),
-			"run_id": runID,
+	sr, err := session(ctx, name, 1, m.NumInputs(), opt,
+		func(ctx context.Context) (*plan.Plan, error) {
+			return plan.FromMiter(ctx, name, m, weights, opt.NoSynth)
 		})
-		ctx = obs.WithSpan(ctx, span)
-	}
-	p, err := plan.FromMiter(ctx, name, m, weights, opt.NoSynth)
-	if err != nil {
-		if tr != nil {
-			tr.EndSpan(span, "session", obs.Fields{"error": err.Error()})
-		}
-		return nil, err
-	}
-	sr, err := runPlan(ctx, p, be, opt, start, tr, span)
 	if err != nil {
 		return nil, err
 	}
 	return sr.Results[0], nil
 }
 
-// ensureRunID returns the run ID every span and progress event of this
-// verification correlates under. A caller that already allocated one —
-// vacsem-serve stamps each job's ID onto the context before calling in,
-// so its event streams can filter the shared hub by run — keeps it;
-// otherwise a fresh ID is allocated and stamped.
-func ensureRunID(ctx *context.Context) uint64 {
-	if id := obs.RunFrom(*ctx); id != 0 {
-		return id
+// session runs one verification session on opt.Method's backend: build
+// compiles its plan and runPlan executes it, both under the session's
+// "session" span, which ends on every path — with the error when the
+// plan or the run fails. A caller that already allocated a run id on ctx
+// (vacsem-serve stamps each job's, so its event stream can follow the
+// run) keeps it; otherwise a fresh one is stamped.
+func session(ctx context.Context, name string, metrics, inputs int, opt Options, build func(context.Context) (*plan.Plan, error)) (*SessionResult, error) {
+	be, err := engine.Lookup(opt.Method.String())
+	if err != nil {
+		return nil, err
 	}
-	id := obs.NextRunID()
-	*ctx = obs.WithRun(*ctx, id)
-	return id
+	start := time.Now()
+	if obs.RunFrom(ctx) == 0 {
+		ctx = obs.WithRun(ctx, obs.NextRunID())
+	}
+	ctx, span := obs.Start(ctx, "session", obs.Fields{
+		"session": name, "backend": opt.Method.String(),
+		"metrics": metrics, "inputs": inputs,
+	})
+	p, err := build(ctx)
+	var sr *SessionResult
+	if err == nil {
+		sr, err = runPlan(ctx, p, be, opt, start)
+	}
+	if err != nil {
+		span.End(obs.Fields{"error": err.Error()})
+		return nil, err
+	}
+	span.End(obs.Fields{
+		"tasks": sr.TasksUnique, "tasks_deduped": sr.TasksDeduped,
+		"stats": sr.TotalStats,
+	})
+	return sr, nil
 }
 
 // errRunDeadline is the cancellation cause installed by withTimeLimit,
@@ -491,33 +472,19 @@ func approxBand(subs []SubResult) (approx bool, eps, delta float64) {
 }
 
 // runPlan executes a compiled plan on a backend and shapes the outcome
-// into the session result. Each session is one "session" trace span
-// (already opened by the caller); the plan, backend and sub_miter spans
-// nest under it through the context, and one leaf "run" span per metric
-// records the assembled value. The session is also one run on the live
-// stream: run_start before the backend runs, run_end (with the session's
-// dur_ms, or error) after it returns.
-func runPlan(ctx context.Context, p *plan.Plan, be engine.Backend, opt Options, start time.Time, tr *obs.Tracer, span obs.SpanID) (*SessionResult, error) {
+// into the session result. The backend and sub_miter spans nest under
+// ctx's session span, and one leaf "run" span per metric records the
+// assembled value.
+func runPlan(ctx context.Context, p *plan.Plan, be engine.Backend, opt Options, start time.Time) (*SessionResult, error) {
 	mSessions.Inc()
 	ctx, cancel := withTimeLimit(ctx, opt)
 	defer cancel()
-	runID := obs.RunFrom(ctx)
-	obs.Stream.Publish("run_start", obs.Fields{"run_id": runID, "label": p.Session})
 	out, err := p.Run(ctx, be, opt.engineConfig(), opt.Progress)
-	end := obs.Fields{"run_id": runID, "label": p.Session}
 	if err != nil {
-		err = mapErr(ctx, err)
-		end["error"] = err.Error()
-		obs.Stream.Publish("run_end", end)
 		mRunErrors.Inc()
 		hRunSeconds.Observe(time.Since(start).Seconds())
-		if tr != nil {
-			tr.EndSpan(span, "session", obs.Fields{"error": err.Error()})
-		}
-		return nil, err
+		return nil, mapErr(ctx, err)
 	}
-	end["dur_ms"] = float64(time.Since(start).Microseconds()) / 1e3
-	obs.Stream.Publish("run_end", end)
 	sr := &SessionResult{
 		Results:         make([]*Result, len(out.Metrics)),
 		Method:          opt.Method,
@@ -561,22 +528,16 @@ func runPlan(ctx context.Context, p *plan.Plan, be engine.Backend, opt Options, 
 		}
 		sr.Results[i] = res
 		sr.TotalStats.Add(mo.Stats)
-		if tr != nil {
-			rs := tr.StartSpan(span, "run", obs.Fields{
+		if obs.Enabled() {
+			_, rs := obs.Start(ctx, "run", obs.Fields{
 				"metric": mo.Name, "backend": opt.Method.String(),
 			})
-			tr.EndSpan(rs, "run", obs.Fields{
+			rs.End(obs.Fields{
 				"metric": mo.Name, "count": res.Count.String(),
 				"value": res.Value.RatString(), "stats": mo.Stats,
 			})
 		}
 	}
 	hRunSeconds.Observe(sr.Runtime.Seconds())
-	if tr != nil {
-		tr.EndSpan(span, "session", obs.Fields{
-			"tasks": sr.TasksUnique, "tasks_deduped": sr.TasksDeduped,
-			"stats": sr.TotalStats,
-		})
-	}
 	return sr, nil
 }

@@ -110,8 +110,8 @@ func (c *cellSim) count(ctx context.Context, cfg Config, rows []cnf.XorClause) (
 	}
 	dur := time.Since(start)
 	st = bookSim(patterns, dur)
-	if tr := obs.Active(); tr != nil {
-		tr.Event(obs.SpanFrom(ctx), "sim_decision", obs.Fields{
+	if obs.Active() != nil {
+		obs.Event(ctx, "sim_decision", obs.Fields{
 			"accepted": true, "cell": true, "gates": len(c.gates), "k": k, "density": density,
 			"count": counts[0], "sim_us": dur.Microseconds(),
 		})

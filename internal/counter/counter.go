@@ -268,10 +268,10 @@ type Solver struct {
 	// tracing state (see trace.go). tr is captured once per Count so
 	// the hot loops pay a plain nil check, not an atomic load.
 	tr        *obs.Tracer
-	span      obs.SpanID // parent span from the caller's context
-	hotTick   uint64     // component-event sampling tick
-	cacheTick uint64     // cache-event sampling tick
-	lastEmit  Stats      // stats at the last periodic snapshot delta
+	evCtx     context.Context // the caller's context, for event parents (set when traced)
+	hotTick   uint64          // component-event sampling tick
+	cacheTick uint64          // cache-event sampling tick
+	lastEmit  Stats           // stats at the last periodic snapshot delta
 	// flushed tracks the stats already merged into the metrics registry
 	// (see trace.go), so periodic flushes and the final merge sum
 	// exactly to s.stats.
@@ -406,14 +406,15 @@ func (s *Solver) Count(ctx context.Context) (*big.Int, error) {
 }
 
 // begin is the prologue of a Count or Satisfiable run under ctx: it
-// resets the solver and captures the active tracer, ctx's span, and ctx
-// itself when it can end. The caller defers finishObs, which books the
+// resets the solver and captures the active tracer, ctx for the events
+// it parents when traced, and ctx as the cancellation source when it can
+// end. The caller defers finishObs, which books the
 // run's statistics.
 func (s *Solver) begin(ctx context.Context) {
 	s.reset()
 	s.tr = obs.Active()
 	if s.tr != nil {
-		s.span = obs.SpanFrom(ctx)
+		s.evCtx = ctx
 	}
 	if ctx.Done() != nil {
 		s.ctx = ctx
@@ -452,7 +453,7 @@ func (s *Solver) reset() {
 	s.curLevel = 0
 	s.conflictCl = -1
 	s.tr = nil
-	s.span = 0
+	s.evCtx = nil
 	s.hotTick = 0
 	s.cacheTick = 0
 	s.lastEmit = Stats{}

@@ -174,7 +174,7 @@ func (s *Solver) trySimulate(comp *component) (*big.Int, bool) {
 	hSimSeconds.Observe(dur.Seconds())
 	s.stats.SimCalls++
 	if s.tr != nil {
-		s.tr.Event(s.span, "sim_decision", obs.Fields{
+		obs.Event(s.evCtx, "sim_decision", obs.Fields{
 			"accepted": true, "gates": len(gates), "k": k, "density": density,
 			"count": count, "sim_us": dur.Microseconds(),
 		})

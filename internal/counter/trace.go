@@ -78,7 +78,7 @@ func (s *Solver) finishObs() {
 	if s.tr != nil {
 		if delta := s.stats.Diff(s.lastEmit); delta != (Stats{}) {
 			s.lastEmit = s.stats
-			s.tr.Event(s.span, "stats", obs.Fields{"delta": delta, "cache_size": s.cacheSize(), "final": true})
+			obs.Event(s.evCtx, "stats", obs.Fields{"delta": delta, "cache_size": s.cacheSize(), "final": true})
 		}
 	}
 }
@@ -90,13 +90,13 @@ func (s *Solver) traceComponent(comp *component) {
 	if s.hotTick%s.tr.HotEvery() != 0 {
 		return
 	}
-	s.tr.Event(s.span, "component", obs.Fields{
+	obs.Event(s.evCtx, "component", obs.Fields{
 		"seq": s.hotTick, "vars": len(comp.vars), "clauses": len(comp.clauses),
 		"xors": len(comp.xors),
 	})
 	delta := s.stats.Diff(s.lastEmit)
 	s.lastEmit = s.stats
-	s.tr.Event(s.span, "stats", obs.Fields{"delta": delta, "cache_size": s.cacheSize()})
+	obs.Event(s.evCtx, "stats", obs.Fields{"delta": delta, "cache_size": s.cacheSize()})
 }
 
 // cacheSize reports the entry count of the active cache (shared caches
@@ -116,7 +116,7 @@ func (s *Solver) traceCache(op string) {
 	if s.cacheTick%s.tr.HotEvery() != 0 {
 		return
 	}
-	s.tr.Event(s.span, "cache", obs.Fields{
+	obs.Event(s.evCtx, "cache", obs.Fields{
 		"op": op, "size": s.cacheSize(),
 		"hits": s.stats.CacheHits, "stores": s.stats.CacheStores,
 		"evictions": s.stats.CacheEvictions, "cross_hits": s.stats.CacheCrossHits,
@@ -138,7 +138,7 @@ func (s *Solver) rejectSim(sampled bool, reason string, gates, k int, density fl
 			return nil, false
 		}
 	}
-	s.tr.Event(s.span, "sim_decision", obs.Fields{
+	obs.Event(s.evCtx, "sim_decision", obs.Fields{
 		"accepted": false, "reason": reason,
 		"gates": gates, "k": k, "density": density,
 	})

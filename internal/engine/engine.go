@@ -8,8 +8,8 @@
 // trivial tasks (constant or bare-input outputs) and the tasks the
 // cross-request store already holds, hands the rest to a Backend,
 // records the backend's counts in the store, and turns every finished
-// task into its "sub_miter" span, its task_start/task_done hub lines,
-// its engine.sub_miter* metrics and its progress event. Backends only
+// task into its "sub_miter" span, its engine.sub_miter* metrics and its
+// progress event. Backends only
 // count. The built-in backends wrap the repository's flows (the
 // simulation-enhanced counter, the plain DPLL counter, exhaustive
 // enumeration, the prior-art ROBDD flow, and (ε, δ) approximate

@@ -209,9 +209,9 @@ func TestProgressSerialized(t *testing.T) {
 	}
 }
 
-// TestTaskEventsUniform: every registered backend publishes exactly one
-// task_start and one task_done hub line per task, and each event kind
-// carries the same keys on every backend.
+// TestTaskEventsUniform: every registered backend emits exactly one
+// sub_miter span_start and one span_end line per task, and each of the
+// two carries the same keys on every backend.
 func TestTaskEventsUniform(t *testing.T) {
 	_, req := medRequest(t, 6)
 	keySets := make(map[string]string) // event kind -> keys, from the first backend
@@ -220,13 +220,14 @@ func TestTaskEventsUniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, unsubscribe := obs.Stream.Subscribe(1024)
+		ch, unsubscribe := obs.Stream.Subscribe(0, 1024)
 		_, err = engine.Execute(context.Background(), b, req)
 		unsubscribe()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		seen := map[string]map[int]int{"task_start": {}, "task_done": {}}
+		seen := map[string]map[int]int{"span_start": {}, "span_end": {}}
+		starts := map[float64]float64{} // span id -> task index
 		for line := range ch {
 			var ev map[string]any
 			if err := json.Unmarshal(line, &ev); err != nil {
@@ -234,11 +235,17 @@ func TestTaskEventsUniform(t *testing.T) {
 			}
 			kind, _ := ev["ev"].(string)
 			perTask, ok := seen[kind]
-			if !ok {
+			if !ok || ev["span"] != "sub_miter" {
 				continue
 			}
-			if ev["backend"] != name {
-				t.Errorf("%s: %s event names backend %v", name, kind, ev["backend"])
+			id := ev["id"].(float64)
+			if kind == "span_start" {
+				if ev["backend"] != name {
+					t.Errorf("%s: sub_miter start names backend %v", name, ev["backend"])
+				}
+				starts[id] = ev["index"].(float64)
+			} else if starts[id] != ev["index"].(float64) {
+				t.Errorf("%s: sub_miter end %v of task %v was started for task %v", name, id, ev["index"], starts[id])
 			}
 			perTask[int(ev["index"].(float64))]++
 			keys := make([]string, 0, len(ev))
@@ -250,13 +257,13 @@ func TestTaskEventsUniform(t *testing.T) {
 			if want, ok := keySets[kind]; !ok {
 				keySets[kind] = got
 			} else if got != want {
-				t.Errorf("%s: %s keys %s, want %s", name, kind, got, want)
+				t.Errorf("%s: sub_miter %s keys %s, want %s", name, kind, got, want)
 			}
 		}
 		for kind, perTask := range seen {
 			for j := range req.Tasks {
 				if perTask[j] != 1 {
-					t.Errorf("%s: task %d published %d %s events, want 1", name, j, perTask[j], kind)
+					t.Errorf("%s: task %d emitted %d sub_miter %s lines, want 1", name, j, perTask[j], kind)
 				}
 			}
 		}

@@ -64,8 +64,8 @@ func sweep(ctx context.Context, req *Request, js []int, workers int) ([]*big.Int
 	if err != nil {
 		return nil, err
 	}
-	if tr := obs.Active(); tr != nil {
-		tr.Event(obs.SpanFrom(ctx), "sim_batch", obs.Fields{
+	if obs.Active() != nil {
+		obs.Event(ctx, "sim_batch", obs.Fields{
 			"tasks": js, "k": cone.NumInputs(), "patterns": uint64(1) << uint(cone.NumInputs()),
 			"gates": cone.NumGates(), "workers": workers,
 			"sim_us": time.Since(start).Microseconds(),

@@ -30,13 +30,17 @@ type Emitter struct {
 	be    Backend
 	req   *Request
 	ctx   context.Context // carries the backend span and the run ID
-	tr    *obs.Tracer
-	batch time.Time    // when Count was called
-	start []time.Time  // per task, set by begin
-	spans []obs.SpanID // per task, set by begin
-	mu    sync.Mutex   // serializes finish
+	batch time.Time       // when Count was called
+	open  []openTask      // per task, set by begin
+	mu    sync.Mutex      // serializes finish
 	res   []TaskResult
 	done  int
+}
+
+// openTask is a begun task: when it started and its "sub_miter" span.
+type openTask struct {
+	start time.Time
+	span  obs.Span
 }
 
 // Execute runs one verification session on be and returns every task's
@@ -62,17 +66,11 @@ func Execute(ctx context.Context, be Backend, req *Request) ([]TaskResult, error
 		}
 	}
 	n := len(req.Tasks)
-	e := &Emitter{
-		be: be, req: req, tr: obs.Active(),
-		start: make([]time.Time, n), spans: make([]obs.SpanID, n), res: make([]TaskResult, n),
-	}
-	if e.tr != nil {
-		span := e.tr.StartSpan(obs.SpanFrom(ctx), "backend", obs.Fields{
-			"backend": be.Name(), "session": req.Session, "tasks": n,
-		})
-		ctx = obs.WithSpan(ctx, span)
-		defer e.tr.EndSpan(span, "backend", nil)
-	}
+	e := &Emitter{be: be, req: req, open: make([]openTask, n), res: make([]TaskResult, n)}
+	ctx, span := obs.Start(ctx, "backend", obs.Fields{
+		"backend": be.Name(), "session": req.Session, "tasks": n,
+	})
+	defer span.End(nil)
 	e.ctx = ctx
 	want := storeGuarantee(be, &req.Config)
 	var todo []int
@@ -208,36 +206,29 @@ func (e *Emitter) record(t *CountTask, res *TaskResult) {
 	st.StoreCone(t.Key, entry)
 }
 
-// begin opens task j: its task_start hub line and its "sub_miter" span
-// under ctx's span. The returned context carries the task's span, so the
-// counter's component/cache/sim_decision events nest under it.
+// begin opens task j: its "sub_miter" span under ctx's span. The
+// returned context carries the task's span, so the counter's
+// component/cache/sim_decision events nest under it.
 func (e *Emitter) begin(ctx context.Context, j int, start time.Time) context.Context {
-	t := &e.req.Tasks[j]
-	e.start[j] = start
-	if obs.Stream.Active() {
-		obs.Stream.Publish("task_start", obs.Fields{
-			"run_id": obs.RunFrom(ctx), "backend": e.be.Name(),
-			"index": j, "label": t.Label, "nodes_before": t.NodesBefore,
-		})
-	}
-	if e.tr != nil {
-		e.spans[j] = e.tr.StartSpan(obs.SpanFrom(ctx), "sub_miter", obs.Fields{
+	e.open[j].start = start
+	if obs.Enabled() {
+		t := &e.req.Tasks[j]
+		ctx, e.open[j].span = obs.Start(ctx, "sub_miter", obs.Fields{
 			"backend": e.be.Name(), "index": j, "output": t.Label,
 			"nodes_before": t.NodesBefore,
 		})
-		ctx = obs.WithSpan(ctx, e.spans[j])
 	}
 	return ctx
 }
 
 // finish is the single emit point of a begun task: it stamps the task's
 // Runtime, records a computed count in the store, and turns the result
-// into the engine.sub_miter* metrics, the task_done hub line, the
-// "sub_miter" span end and — unless the task failed — its result slot
-// and TaskEvent. Calls are serialized.
+// into the engine.sub_miter* metrics, the "sub_miter" span end and —
+// unless the task failed — its result slot and TaskEvent. Calls are
+// serialized.
 func (e *Emitter) finish(j int, res TaskResult, err error) {
 	t := &e.req.Tasks[j]
-	res.Runtime = time.Since(e.start[j])
+	res.Runtime = time.Since(e.open[j].start)
 	if res.Count == nil {
 		res.Count = new(big.Int)
 	}
@@ -254,28 +245,16 @@ func (e *Emitter) finish(j int, res TaskResult, err error) {
 	if t.NodesBefore > 0 {
 		hSynthReduce.Observe(float64(t.NodesAfter) / float64(t.NodesBefore))
 	}
-	if obs.Stream.Active() {
-		f := obs.Fields{
-			"run_id": obs.RunFrom(e.ctx), "backend": e.be.Name(),
-			"index": j, "label": t.Label,
-			"count": res.Count.String(), "seconds": res.Runtime.Seconds(),
-			"trivial": res.Trivial, "from_store": res.FromStore,
-		}
-		if err != nil {
-			f["error"] = err.Error()
-		}
-		obs.Stream.Publish("task_done", f)
-	}
-	if e.tr != nil {
+	if obs.Enabled() {
 		f := obs.Fields{
 			"index": j, "output": t.Label,
-			"nodes_after": t.NodesAfter, "trivial": res.Trivial,
+			"nodes_after": t.NodesAfter, "trivial": res.Trivial, "from_store": res.FromStore,
 			"count": res.Count.String(), "stats": res.Stats,
 		}
 		if err != nil {
 			f["error"] = err.Error()
 		}
-		e.tr.EndSpan(e.spans[j], "sub_miter", f)
+		e.open[j].span.End(f)
 	}
 	if err != nil {
 		return

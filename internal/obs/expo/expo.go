@@ -3,9 +3,10 @@
 //
 //	/metrics                  Prometheus text exposition of the
 //	                          obs metrics registry
-//	/debug/vacsem/progress    live run state as a JSONL (or SSE) stream
-//	                          fed by the obs stream hub: run start/end,
-//	                          per-task phase events, per-bit progress
+//	/debug/vacsem/progress    the live event stream of every run as JSONL
+//	                          (or SSE): the session, plan, backend,
+//	                          sub_miter and job spans and per-bit
+//	                          progress, the same lines as the trace file
 //	/debug/pprof/...          the standard net/http/pprof handlers
 //
 // Everything is read-only and observes the same lock-free registry the
@@ -13,8 +14,8 @@
 // The counter flushes its statistics into the registry at every
 // cancellation poll, so /metrics moves during a long count; per-run
 // counter curves come from the trace's periodic stats deltas.
-// Both CLIs expose the handler via -introspect ADDR (which may equal
-// -pprof to share one listener).
+// Both CLIs expose the handler via -introspect ADDR; it serves the
+// pprof profiles too.
 package expo
 
 import (
@@ -27,8 +28,8 @@ import (
 	"vacsem/internal/obs"
 )
 
-// DefaultPrefix is the metric-name prefix of the /metrics exposition.
-const DefaultPrefix = "vacsem_"
+// prefix is the metric-name prefix of the /metrics exposition.
+const prefix = "vacsem_"
 
 // Options configures a handler. The zero value serves the process-wide
 // defaults: obs.Default and obs.Stream.
@@ -37,9 +38,6 @@ type Options struct {
 	Registry *obs.Registry
 	// Hub is the stream behind /debug/vacsem/progress (nil = obs.Stream).
 	Hub *obs.Hub
-	// Prefix overrides the /metrics name prefix ("" = DefaultPrefix;
-	// use "-" for no prefix).
-	Prefix string
 }
 
 func (o Options) registry() *obs.Registry {
@@ -54,16 +52,6 @@ func (o Options) hub() *obs.Hub {
 		return o.Hub
 	}
 	return obs.Stream
-}
-
-func (o Options) prefix() string {
-	switch o.Prefix {
-	case "":
-		return DefaultPrefix
-	case "-":
-		return ""
-	}
-	return o.Prefix
 }
 
 // NewHandler builds the introspection mux. The pprof routes delegate to
@@ -85,7 +73,7 @@ func NewHandler(opt Options) http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", obs.PromContentType)
 		snap := opt.registry().Snapshot()
-		snap.WritePrometheus(w, obs.PromOptions{Prefix: opt.prefix()})
+		snap.WritePrometheus(w, obs.PromOptions{Prefix: prefix})
 	})
 	mux.HandleFunc("/debug/vacsem/progress", func(w http.ResponseWriter, r *http.Request) {
 		serveProgress(opt, w, r)
@@ -94,7 +82,8 @@ func NewHandler(opt Options) http.Handler {
 	return mux
 }
 
-// serveProgress streams hub events to one client until it disconnects.
+// serveProgress streams the event lines of every run to one client
+// until it disconnects.
 // The first line is a {"ev":"stream_open"} event, so a client knows the
 // stream is live before the first run event arrives.
 func serveProgress(opt Options, w http.ResponseWriter, r *http.Request) {
@@ -107,7 +96,7 @@ func serveProgress(opt Options, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ch, cancel := opt.hub().Subscribe(0)
+	ch, cancel := opt.hub().Subscribe(0, 0)
 	defer cancel()
 	for {
 		select {

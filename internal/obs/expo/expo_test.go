@@ -2,6 +2,7 @@ package expo
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -15,15 +16,14 @@ import (
 
 // testOptions wires a handler to a private registry and hub so tests
 // never race the process-wide defaults.
-func testOptions(t *testing.T) (Options, *obs.Registry, *obs.Hub) {
+func testOptions(t *testing.T) (Options, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	hub := obs.NewHub()
-	return Options{Registry: reg, Hub: hub}, reg, hub
+	return Options{Registry: reg, Hub: obs.NewHub()}, reg
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	opt, reg, _ := testOptions(t)
+	opt, reg := testOptions(t)
 	reg.Counter("counter.decisions").Add(77)
 	srv := httptest.NewServer(NewHandler(opt))
 	defer srv.Close()
@@ -45,28 +45,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestMetricsPrefixOverride(t *testing.T) {
-	opt, reg, _ := testOptions(t)
-	reg.Counter("x").Inc()
-	opt.Prefix = "-" // explicit no-prefix
-	srv := httptest.NewServer(NewHandler(opt))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "\nx 1\n") && !strings.HasPrefix(string(body), "x 1\n") {
-		t.Errorf("unprefixed sample missing:\n%s", body)
-	}
-}
-
-// The progress endpoint streams hub events as NDJSON, opening with a
-// bare stream_open line.
+// The progress endpoint streams the process's event lines as NDJSON,
+// opening with a bare stream_open line.
 func TestProgressStreamNDJSON(t *testing.T) {
-	opt, _, hub := testOptions(t)
-	srv := httptest.NewServer(NewHandler(opt))
+	srv := httptest.NewServer(NewHandler(Options{Registry: obs.NewRegistry()}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/vacsem/progress")
@@ -89,31 +71,31 @@ func TestProgressStreamNDJSON(t *testing.T) {
 		t.Fatalf("first line = %q, want the bare stream_open event", sc.Text())
 	}
 
-	// Wait for the subscription to land before publishing, then the
-	// event must arrive on the stream.
+	// Wait for the subscription to land before emitting, then the
+	// event of any run must arrive on the stream.
 	deadline := time.Now().Add(2 * time.Second)
-	for !hub.Active() {
+	for !obs.Stream.Active() {
 		if time.Now().After(deadline) {
 			t.Fatal("handler never subscribed")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	hub.Publish("task_done", obs.Fields{"index": 4})
+	obs.Event(obs.WithRun(context.Background(), 5), "progress", obs.Fields{"index": 4})
 	if !sc.Scan() {
-		t.Fatal("no event line after publish")
+		t.Fatal("no event line after emitting")
 	}
 	var ev map[string]any
 	if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 		t.Fatalf("event not JSON: %v", err)
 	}
-	if ev["ev"] != "task_done" || ev["index"].(float64) != 4 {
+	if ev["ev"] != "progress" || ev["index"].(float64) != 4 || ev["run_id"].(float64) != 5 {
 		t.Errorf("event = %v", ev)
 	}
 }
 
 // With Accept: text/event-stream the same endpoint speaks SSE.
 func TestProgressStreamSSE(t *testing.T) {
-	opt, _, _ := testOptions(t)
+	opt, _ := testOptions(t)
 	srv := httptest.NewServer(NewHandler(opt))
 	defer srv.Close()
 
@@ -145,7 +127,7 @@ func TestProgressStreamSSE(t *testing.T) {
 }
 
 func TestIndexAndPprofRoutes(t *testing.T) {
-	opt, _, _ := testOptions(t)
+	opt, _ := testOptions(t)
 	srv := httptest.NewServer(NewHandler(opt))
 	defer srv.Close()
 

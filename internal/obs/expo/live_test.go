@@ -143,17 +143,23 @@ func TestLiveIntrospectedVerify(t *testing.T) {
 
 	// The stream saw the run's lifecycle and per-task progress. Events
 	// are delivered asynchronously; give stragglers a moment.
-	wanted := map[string]bool{"run_start": false, "task_done": false, "progress": false, "run_end": false}
+	wanted := map[string]bool{
+		"span_start session": false, "span_end sub_miter": false,
+		"progress": false, "span_end session": false,
+	}
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		evMu.Lock()
 		for _, ev := range events {
 			kind, _ := ev["ev"].(string)
+			if span, ok := ev["span"].(string); ok {
+				kind += " " + span
+			}
 			if _, ok := wanted[kind]; ok {
 				if got, _ := ev["run_id"].(float64); uint64(got) == id {
 					wanted[kind] = true
-					if _, ok := ev["dur_ms"]; kind == "run_end" && !ok {
-						t.Errorf("successful run_end lacks dur_ms: %v", ev)
+					if _, ok := ev["error"]; kind == "span_end session" && ok {
+						t.Errorf("successful session ended with an error: %v", ev)
 					}
 				}
 			}
@@ -178,11 +184,11 @@ func TestLiveIntrospectedVerify(t *testing.T) {
 }
 
 // A run cut by its TimeLimit still closes its lifecycle on the stream:
-// run_end carries the error in place of dur_ms.
+// the session span ends with the error.
 func TestRunEndOnTimeout(t *testing.T) {
-	ch, cancel := obs.Stream.Subscribe(1024)
-	defer cancel()
 	id := obs.NextRunID()
+	ch, cancel := obs.Stream.Subscribe(id, 1024)
+	defer cancel()
 	ctx := obs.WithRun(context.Background(), id)
 	_, err := core.Verify(ctx, gen.RippleCarryAdder(8), als.LowerORAdder(8, 3),
 		core.MetricSpec{Kind: core.MetricMED}, core.Options{Workers: 1, TimeLimit: time.Nanosecond})
@@ -195,29 +201,26 @@ func TestRunEndOnTimeout(t *testing.T) {
 		select {
 		case line := <-ch:
 			var ev map[string]any
-			if json.Unmarshal(line, &ev) != nil {
+			if json.Unmarshal(line, &ev) != nil || ev["span"] != "session" {
 				continue
 			}
 			if got, _ := ev["run_id"].(float64); uint64(got) != id {
-				continue
+				t.Fatalf("a run %d subscriber got a line of run %v", id, ev["run_id"])
 			}
 			switch ev["ev"] {
-			case "run_start":
+			case "span_start":
 				started = true
-			case "run_end":
+			case "span_end":
 				if !started {
-					t.Error("run_end arrived without run_start")
+					t.Error("the session ended without starting")
 				}
 				if msg, _ := ev["error"].(string); msg != core.ErrTimeout.Error() {
-					t.Errorf("run_end error = %q, want %q", msg, core.ErrTimeout)
-				}
-				if _, ok := ev["dur_ms"]; ok {
-					t.Errorf("failed run_end carries dur_ms: %v", ev)
+					t.Errorf("session error = %q, want %q", msg, core.ErrTimeout)
 				}
 				return
 			}
 		case <-timeout:
-			t.Fatalf("stream never delivered run_end for run %d", id)
+			t.Fatalf("stream never ended the session of run %d", id)
 		}
 	}
 }

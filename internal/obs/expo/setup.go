@@ -2,7 +2,6 @@ package expo
 
 import (
 	"fmt"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -17,16 +16,14 @@ type CLIConfig struct {
 	TracePath  string // -trace: JSONL span/event stream
 	CPUProfile string // -cpuprofile: pprof CPU profile path
 	MemProfile string // -memprofile: heap profile path, written at stop
-	PprofAddr  string // -pprof: live net/http/pprof listen address
 	// IntrospectAddr is the -introspect listen address: /metrics,
-	// /debug/vacsem/* and /debug/pprof. When it equals PprofAddr the two
-	// flags share one listener.
+	// /debug/vacsem/* and /debug/pprof.
 	IntrospectAddr string
 }
 
 // Setup installs the requested tracer, profilers and introspection
 // server, and returns a stop function that flushes and closes
-// everything — including the HTTP listeners, whose serve loops are
+// everything — including the HTTP listener, whose serve loop is
 // waited out so tests and long-lived embedders do not leak ports or
 // goroutines. Callers must run stop on every exit path (so main must
 // not os.Exit past it); stop is safe to call exactly once.
@@ -88,16 +85,6 @@ func Setup(cfg CLIConfig) (stop func() error, err error) {
 		srv, err := Start(cfg.IntrospectAddr, Options{})
 		if err != nil {
 			return fail(fmt.Errorf("introspect: %w", err))
-		}
-		closers = append(closers, srv.Close)
-	}
-
-	// The introspection mux already delegates /debug/pprof, so when the
-	// two flags name the same address they share that listener.
-	if cfg.PprofAddr != "" && cfg.PprofAddr != cfg.IntrospectAddr {
-		srv, err := Serve(cfg.PprofAddr, http.DefaultServeMux)
-		if err != nil {
-			return fail(fmt.Errorf("pprof: %w", err))
 		}
 		closers = append(closers, srv.Close)
 	}

@@ -68,25 +68,6 @@ func TestSetupTeardown(t *testing.T) {
 	ln.Close()
 }
 
-// -pprof sharing -introspect's address must produce one listener, not
-// an address-in-use failure.
-func TestSetupSharedListener(t *testing.T) {
-	addr := freePort(t)
-	stop, err := Setup(CLIConfig{IntrospectAddr: addr, PprofAddr: addr})
-	if err != nil {
-		t.Fatalf("shared -pprof/-introspect address: %v", err)
-	}
-	defer stop()
-	resp, err := http.Get("http://" + addr + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof on shared listener: status %d", resp.StatusCode)
-	}
-}
-
 // A zero config is a no-op with a working stop.
 func TestSetupZero(t *testing.T) {
 	stop, err := Setup(CLIConfig{})

@@ -1,104 +1,86 @@
 package obs
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 )
 
-// Hub is a broadcast channel for live introspection events: the core
-// layer publishes run_start/run_end per session, the engine publishes
-// task start/done events, and the plan layer publishes per-bit progress.
-// The introspection server's /debug/vacsem/progress endpoint is a
-// subscriber; so is anything embedding the library.
+// Hub is the live sink of the event stream: it hands each event line to
+// the subscribers of the line's run. The introspection server's
+// /debug/vacsem/progress endpoint subscribes to every run, and each
+// vacsem-serve event stream to its job's run.
 //
-// Publishing is a no-op (one atomic load) while nobody subscribes, so
-// the instrumented layers publish unconditionally without a config
-// knob. Slow subscribers never block a publisher: events that do not
-// fit a subscriber's buffer are dropped for that subscriber (counted in
+// Slow subscribers never block a producer: a line that does not fit a
+// subscriber's buffer is dropped for that subscriber (counted in
 // obs.stream_dropped) — live introspection prefers losing an event over
-// stalling the solver.
+// stalling the solver. The trace file sink is the lossless one.
 type Hub struct {
 	mu   sync.Mutex
-	subs map[uint64]chan []byte
-	next uint64
+	subs map[*subscriber]struct{}
 	n    atomic.Int32
-	seq  atomic.Uint64
 }
 
-// Stream is the process-wide hub the instrumented packages publish to.
+type subscriber struct {
+	run uint64 // 0 = every run
+	ch  chan []byte
+}
+
+// Stream is the process-wide hub every event line is sent to.
 var Stream = NewHub()
 
 var mStreamDropped = Default.Counter("obs.stream_dropped")
 
 // NewHub returns an empty hub.
 func NewHub() *Hub {
-	return &Hub{subs: make(map[uint64]chan []byte)}
+	return &Hub{subs: make(map[*subscriber]struct{})}
 }
 
-// Active reports whether the hub has at least one subscriber. Callers
-// assembling expensive payloads should check it first.
+// Active reports whether the hub has at least one subscriber.
 func (h *Hub) Active() bool { return h.n.Load() > 0 }
 
-// Subscribe registers a new subscriber with the given channel buffer
-// (values <= 0 get a sensible default). Each delivered value is one
-// complete JSON event line (no trailing newline). The returned cancel
+// Subscribe registers a subscriber to the lines of run (0 = every run)
+// with the given channel buffer (values <= 0 get a sensible default).
+// Each delivered value is one complete JSON event line (no trailing
+// newline), byte-identical to the trace file's. The returned cancel
 // func unregisters the subscriber and closes the channel; it is safe to
 // call more than once.
-func (h *Hub) Subscribe(buf int) (<-chan []byte, func()) {
+func (h *Hub) Subscribe(run uint64, buf int) (<-chan []byte, func()) {
 	if buf <= 0 {
 		buf = 256
 	}
-	ch := make(chan []byte, buf)
+	sub := &subscriber{run: run, ch: make(chan []byte, buf)}
 	h.mu.Lock()
-	id := h.next
-	h.next++
-	h.subs[id] = ch
+	h.subs[sub] = struct{}{}
 	h.mu.Unlock()
 	h.n.Add(1)
+	refresh()
 	var once sync.Once
 	cancel := func() {
 		once.Do(func() {
 			h.mu.Lock()
-			delete(h.subs, id)
-			close(ch)
+			delete(h.subs, sub)
+			close(sub.ch)
 			h.mu.Unlock()
 			h.n.Add(-1)
+			refresh()
 		})
 	}
-	return ch, cancel
+	return sub.ch, cancel
 }
 
-// Publish broadcasts one event of the given kind. The header keys "ev",
-// "seq" and "t_ms" are stamped by the hub ("t_ms" is milliseconds on
-// the SinceStart clock, the same clock ProgressEvent timestamps use);
-// fields with those names are dropped. A no-op without subscribers.
-func (h *Hub) Publish(kind string, fields Fields) {
-	if !h.Active() {
-		return
-	}
-	payload := make(Fields, len(fields)+3)
-	for k, v := range fields {
-		switch k {
-		case "ev", "seq", "t_ms":
-		default:
-			payload[k] = v
-		}
-	}
-	payload["ev"] = kind
-	payload["seq"] = h.seq.Add(1)
-	payload["t_ms"] = float64(SinceStart().Microseconds()) / 1e3
-	line, err := json.Marshal(payload)
-	if err != nil {
-		line, _ = json.Marshal(Fields{"ev": "stream_error", "error": err.Error()})
-	}
+// send delivers one encoded line of run to its subscribers and to the
+// subscribers of every run.
+func (h *Hub) send(run uint64, line []byte) {
 	h.mu.Lock()
-	for _, ch := range h.subs {
+	defer h.mu.Unlock()
+	for sub := range h.subs {
+		if sub.run != 0 && sub.run != run {
+			continue
+		}
 		select {
-		case ch <- line:
+		case sub.ch <- line:
 		default:
 			mStreamDropped.Inc()
 		}
 	}
-	h.mu.Unlock()
 }

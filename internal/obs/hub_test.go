@@ -1,97 +1,115 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
 )
 
-// Events reach every subscriber with the hub-stamped header fields; the
+// Events reach a live subscriber with the header the encoder stamps; the
 // header wins over colliding caller fields.
 func TestHubPublishSubscribe(t *testing.T) {
-	h := NewHub()
-	if h.Active() {
-		t.Fatal("fresh hub reports Active")
+	if Enabled() {
+		t.Fatal("a sink is installed at test start")
 	}
-	ch, cancel := h.Subscribe(8)
+	ch, cancel := Stream.Subscribe(0, 8)
 	defer cancel()
-	if !h.Active() {
-		t.Fatal("hub with a subscriber reports inactive")
+	if !Stream.Active() || !Enabled() {
+		t.Fatal("a live subscriber did not enable emission")
+	}
+	if Active() != nil {
+		t.Fatal("a live subscriber installed a trace file")
 	}
 
-	h.Publish("task_done", Fields{"index": 3, "ev": "spoofed", "seq": 999})
+	ctx := WithRun(context.Background(), 41)
+	Event(ctx, "progress", Fields{"index": 3, "ev": "spoofed", "run_id": 999})
 	line := <-ch
 	var got map[string]any
 	if err := json.Unmarshal(line, &got); err != nil {
 		t.Fatalf("event not JSON: %v (%q)", err, line)
 	}
-	if got["ev"] != "task_done" {
-		t.Errorf("ev = %v, want task_done (caller's spoof must lose)", got["ev"])
+	if got["ev"] != "progress" {
+		t.Errorf("ev = %v, want progress (caller's spoof must lose)", got["ev"])
+	}
+	if got["run_id"] != float64(41) {
+		t.Errorf("run_id = %v, want the context's 41", got["run_id"])
 	}
 	if got["index"].(float64) != 3 {
 		t.Errorf("index = %v", got["index"])
 	}
-	if got["seq"].(float64) == 999 {
-		t.Error("caller overrode the hub's seq")
+	if _, ok := got["t_us"]; !ok {
+		t.Error("t_us header missing")
 	}
-	if _, ok := got["t_ms"]; !ok {
-		t.Error("t_ms header missing")
+	for _, k := range []string{"seq", "t_ms"} {
+		if _, ok := got[k]; ok {
+			t.Errorf("line carries the retired %q key: %s", k, line)
+		}
+	}
+	cancel()
+	if Enabled() {
+		t.Error("emission still enabled after the last subscriber left")
 	}
 }
 
-// Sequence numbers increase across events; each subscriber sees its own
-// copy of every event.
+// A subscriber to one run gets only that run's lines; a subscriber to
+// run 0 gets every line; both get the same bytes.
 func TestHubFanout(t *testing.T) {
-	h := NewHub()
-	ch1, cancel1 := h.Subscribe(8)
-	ch2, cancel2 := h.Subscribe(8)
-	defer cancel1()
-	defer cancel2()
-	h.Publish("a", nil)
-	h.Publish("b", nil)
-	for _, ch := range []<-chan []byte{ch1, ch2} {
-		var prev float64 = -1
-		for i := 0; i < 2; i++ {
-			var ev map[string]any
-			if err := json.Unmarshal(<-ch, &ev); err != nil {
-				t.Fatal(err)
-			}
-			seq := ev["seq"].(float64)
-			if seq <= prev {
-				t.Errorf("seq not increasing: %g after %g", seq, prev)
-			}
-			prev = seq
-		}
+	one, cancelOne := Stream.Subscribe(7, 8)
+	all, cancelAll := Stream.Subscribe(0, 8)
+	defer cancelOne()
+	defer cancelAll()
+	Event(WithRun(context.Background(), 7), "a", nil)
+	Event(WithRun(context.Background(), 8), "b", nil)
+	Event(context.Background(), "c", nil)
+	cancelOne()
+	cancelAll()
+	var gotOne, gotAll [][]byte
+	for line := range one {
+		gotOne = append(gotOne, line)
+	}
+	for line := range all {
+		gotAll = append(gotAll, line)
+	}
+	if len(gotOne) != 1 || len(gotAll) != 3 {
+		t.Fatalf("run 7 subscriber got %d lines, all-runs subscriber %d; want 1 and 3", len(gotOne), len(gotAll))
+	}
+	if string(gotOne[0]) != string(gotAll[0]) {
+		t.Errorf("the two subscribers got different bytes: %s vs %s", gotOne[0], gotAll[0])
+	}
+	var ev map[string]any
+	if err := json.Unmarshal(gotOne[0], &ev); err != nil || ev["ev"] != "a" {
+		t.Errorf("run 7 line = %s (%v)", gotOne[0], err)
 	}
 }
 
 // A full subscriber buffer drops events (counted) instead of blocking
-// the publisher.
+// the producer.
 func TestHubDropOnSlow(t *testing.T) {
 	h := NewHub()
-	_, cancel := h.Subscribe(1) // deliberately tiny, never drained
+	_, cancel := h.Subscribe(0, 1) // deliberately tiny, never drained
 	defer cancel()
 	before := Default.Counter("obs.stream_dropped").Value()
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 50; i++ {
-			h.Publish("x", nil)
+			h.send(0, []byte(`{"ev":"x"}`))
 		}
 		close(done)
 	}()
-	<-done // publishing must complete despite the stuck subscriber
+	<-done // sending must complete despite the stuck subscriber
 	if got := Default.Counter("obs.stream_dropped").Value(); got < before+49 {
 		t.Errorf("stream_dropped rose by %d, want >= 49", got-before)
 	}
 }
 
-// Cancel is idempotent and concurrent publishes never send on a closed
+// Cancel is idempotent and concurrent sends never send on a closed
 // channel (run with -race).
 func TestHubCancelRace(t *testing.T) {
 	h := NewHub()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		ch, cancel := h.Subscribe(4)
+		ch, cancel := h.Subscribe(uint64(i%2), 4)
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
@@ -105,7 +123,7 @@ func TestHubCancelRace(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		h.Publish("x", Fields{"i": i})
+		h.send(uint64(i%3), []byte(`{"ev":"x"}`))
 	}
 	wg.Wait()
 	if h.Active() {

@@ -1,24 +1,30 @@
 // Package obs is the observability layer of the verification stack: a
 // zero-dependency (stdlib-only) metrics registry of atomic counters,
-// gauges and fixed-bucket histograms, plus a span-based tracer that
-// emits JSON-lines events to an io.Writer.
+// gauges and fixed-bucket histograms, plus one event producer — Start,
+// Span.End and Event — whose JSON lines go to two sinks: the trace file
+// installed with SetTracer (buffered, lossless) and the live Stream hub
+// (bounded per subscriber, routed by run).
 //
-// The package is designed around a no-op default: when no tracer is
-// installed (the normal case), instrumented hot paths pay one atomic
-// pointer load — or, where the instrumentation caches the tracer per
-// solve, one nil check — and metric updates are single atomic adds.
-// Enabling tracing never changes results, only adds event emission.
+// The package is designed around a no-op default: with no sink
+// installed (the normal case), every producer pays one atomic pointer
+// load — or, where the instrumentation caches the trace file per solve,
+// one nil check — and metric updates are single atomic adds. Emitting
+// events never changes results.
 //
-// Event stream schema (one JSON object per line):
+// Event stream schema (one JSON object per line; run_id is present when
+// the context carries a run, which every verification session does):
 //
-//	{"ev":"span_start","span":KIND,"id":N,"parent":N,"t_us":T, ...fields}
-//	{"ev":"span_end",  "span":KIND,"id":N,"t_us":T,"dur_us":D, ...fields}
-//	{"ev":EVENT,"parent":N,"t_us":T, ...fields}
+//	{"ev":"span_start","span":KIND,"id":N,"parent":N,"t_us":T,"run_id":R, ...fields}
+//	{"ev":"span_end",  "span":KIND,"id":N,"parent":N,"t_us":T,"dur_us":D,"run_id":R, ...fields}
+//	{"ev":EVENT,"parent":N,"t_us":T,"run_id":R, ...fields}
 //
-// Span kinds used by the stack: "session" (one verification session,
-// internal/core), "plan" (compiling it, internal/plan), "backend" (one
-// engine.Execute), "sub_miter" (one counting task, whichever path
-// resolved it), "run" (one metric's assembled value). Point events:
+// t_us is microseconds on the SinceStart clock. Span kinds used by the
+// stack: "job" (one vacsem-serve job), "session" (one verification
+// session, internal/core), "plan" (compiling it, internal/plan),
+// "backend" (one engine.Execute), "sub_miter" (one counting task,
+// whichever path resolved it), "run" (one metric's assembled value).
+// Point events: "progress" (one metric bit done, internal/plan) and the
+// search events, emitted only while a trace file is installed:
 // "component", "cache", "stats" (periodic counter.Stats snapshot
 // delta), "sim_decision" (the dynamic controller's accept/reject with
 // the density score), "sim_batch" (one multi-output simulation sweep),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -23,9 +22,6 @@ type PromOptions struct {
 	// Prefix is prepended to every metric name (e.g. "vacsem_"). It is
 	// sanitized like the rest of the name.
 	Prefix string
-	// ConstLabels are attached to every sample, rendered in sorted key
-	// order with full value escaping.
-	ConstLabels map[string]string
 }
 
 // promName sanitizes a metric name into the Prometheus charset
@@ -52,26 +48,6 @@ func promName(name string) string {
 	return b.String()
 }
 
-// escapeLabelValue escapes a label value per the exposition format:
-// backslash, double quote and newline.
-func escapeLabelValue(v string) string {
-	var b strings.Builder
-	b.Grow(len(v))
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
 // escapeHelp escapes a HELP string: backslash and newline (quotes are
 // legal in HELP text).
 func escapeHelp(v string) string {
@@ -87,38 +63,6 @@ func escapeHelp(v string) string {
 			b.WriteRune(r)
 		}
 	}
-	return b.String()
-}
-
-// labelSet renders the constant labels plus optional extra pairs (given
-// as alternating key, value) as a {k="v",...} block, or "" when empty.
-// Keys are sorted so the output is deterministic.
-func labelSet(constLabels map[string]string, extra ...string) string {
-	n := len(constLabels) + len(extra)/2
-	if n == 0 {
-		return ""
-	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, n)
-	for k, v := range constLabels {
-		pairs = append(pairs, kv{k, v})
-	}
-	for i := 0; i+1 < len(extra); i += 2 {
-		pairs = append(pairs, kv{extra[i], extra[i+1]})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(promName(p.k))
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(p.v))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
 	return b.String()
 }
 
@@ -152,13 +96,13 @@ func (s Snapshot) WritePrometheus(w io.Writer, opt PromOptions) error {
 		name := prefix + promName(c.Name)
 		pf("# HELP %s %s\n", name, escapeHelp(c.Name))
 		pf("# TYPE %s counter\n", name)
-		pf("%s%s %d\n", name, labelSet(opt.ConstLabels), c.Value)
+		pf("%s %d\n", name, c.Value)
 	}
 	for _, g := range s.Gauges {
 		name := prefix + promName(g.Name)
 		pf("# HELP %s %s\n", name, escapeHelp(g.Name))
 		pf("# TYPE %s gauge\n", name)
-		pf("%s%s %d\n", name, labelSet(opt.ConstLabels), g.Value)
+		pf("%s %d\n", name, g.Value)
 	}
 	for _, h := range s.Histograms {
 		name := prefix + promName(h.Name)
@@ -169,45 +113,12 @@ func (s Snapshot) WritePrometheus(w io.Writer, opt PromOptions) error {
 		cum := uint64(0)
 		for i, bound := range h.Bounds {
 			cum += h.Buckets[i]
-			pf("%s_bucket%s %d\n", name,
-				labelSet(opt.ConstLabels, "le", formatFloat(bound)), cum)
+			pf("%s_bucket{le=\"%s\"} %d\n", name, formatFloat(bound), cum)
 		}
 		cum += h.Buckets[len(h.Buckets)-1]
-		pf("%s_bucket%s %d\n", name,
-			labelSet(opt.ConstLabels, "le", "+Inf"), cum)
-		pf("%s_sum%s %s\n", name, labelSet(opt.ConstLabels), formatFloat(h.Sum))
-		pf("%s_count%s %d\n", name, labelSet(opt.ConstLabels), cum)
+		pf("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+		pf("%s_sum %s\n", name, formatFloat(h.Sum))
+		pf("%s_count %d\n", name, cum)
 	}
 	return err
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
-// distribution by linear interpolation inside the bucket holding the
-// target rank, the same estimate Prometheus' histogram_quantile
-// computes. The first bucket interpolates from 0 (all registry
-// histograms observe nonnegative values); ranks landing in the overflow
-// bucket return the highest finite bound. Returns NaN for an empty
-// histogram or q outside [0, 1].
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 || q < 0 || q > 1 || len(h.Bounds) == 0 {
-		return math.NaN()
-	}
-	target := q * float64(h.Count)
-	cum := uint64(0)
-	for i, bound := range h.Bounds {
-		next := cum + h.Buckets[i]
-		if float64(next) >= target {
-			lo := 0.0
-			if i > 0 {
-				lo = h.Bounds[i-1]
-			}
-			if h.Buckets[i] == 0 {
-				return bound
-			}
-			frac := (target - float64(cum)) / float64(h.Buckets[i])
-			return lo + (bound-lo)*frac
-		}
-		cum = next
-	}
-	return h.Bounds[len(h.Bounds)-1]
 }

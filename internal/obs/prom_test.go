@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -45,27 +44,6 @@ vacsem_lat_seconds_count 4
 `
 	if got := sb.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-// TestPromLabelEscaping pins label-value escaping (backslash, quote,
-// newline) and const-label ordering.
-func TestPromLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Inc()
-	var sb strings.Builder
-	err := r.Snapshot().WritePrometheus(&sb, PromOptions{
-		ConstLabels: map[string]string{
-			"zz":       "plain",
-			"instance": "a\\b\"c\nd",
-		},
-	})
-	if err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	want := `x{instance="a\\b\"c\nd",zz="plain"} 1` + "\n"
-	if !strings.Contains(sb.String(), want) {
-		t.Errorf("missing escaped sample %q in:\n%s", want, sb.String())
 	}
 }
 
@@ -181,84 +159,5 @@ func TestWritePrometheusParses(t *testing.T) {
 		if n := len(hs.cum); n > 0 && hs.cum[n-1] > hs.inf {
 			t.Errorf("%s: last finite bucket %d exceeds +Inf %d", name, hs.cum[n-1], hs.inf)
 		}
-	}
-}
-
-// TestHistogramQuantile cross-checks the bucket-interpolated quantile
-// against a brute-force reference distribution: for each q the estimate
-// must land inside the bucket that holds the true empirical quantile,
-// and estimates must be monotone in q.
-func TestHistogramQuantile(t *testing.T) {
-	bounds := []float64{0.5, 1, 2, 4, 8, 16}
-	h := newHistogram(bounds)
-	// Deterministic pseudo-random values in (0, 20).
-	var vals []float64
-	seed := uint64(12345)
-	for i := 0; i < 2000; i++ {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		v := float64(seed>>11) / float64(1<<53) * 20
-		vals = append(vals, v)
-		h.Observe(v)
-	}
-	sort.Float64s(vals)
-	snap := HistogramSnapshot{Name: "t", Bounds: bounds,
-		Buckets: make([]uint64, len(bounds)+1), Count: h.Count(), Sum: h.Sum()}
-	for i := range h.buckets {
-		snap.Buckets[i] = h.buckets[i].Load()
-	}
-
-	// bucketRange returns the [lo, hi] band of the bucket holding v
-	// (overflow values report the highest finite bound, like Quantile).
-	bucketRange := func(v float64) (float64, float64) {
-		lo := 0.0
-		for _, b := range bounds {
-			if v <= b {
-				return lo, b
-			}
-			lo = b
-		}
-		top := bounds[len(bounds)-1]
-		return top, top
-	}
-
-	prev := math.Inf(-1)
-	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		est := snap.Quantile(q)
-		if math.IsNaN(est) {
-			t.Fatalf("Quantile(%g) = NaN on non-empty histogram", q)
-		}
-		if est < prev {
-			t.Errorf("Quantile not monotone: q=%g gave %g after %g", q, est, prev)
-		}
-		prev = est
-		// True empirical quantile from the raw values.
-		rank := int(math.Ceil(q * float64(len(vals))))
-		if rank > 0 {
-			rank--
-		}
-		lo, hi := bucketRange(vals[rank])
-		if est < lo-1e-9 || est > hi+1e-9 {
-			t.Errorf("Quantile(%g) = %g outside true bucket [%g, %g] (true value %g)",
-				q, est, lo, hi, vals[rank])
-		}
-	}
-
-	// Edge cases.
-	if v := snap.Quantile(-0.1); !math.IsNaN(v) {
-		t.Errorf("Quantile(-0.1) = %g, want NaN", v)
-	}
-	if v := snap.Quantile(1.1); !math.IsNaN(v) {
-		t.Errorf("Quantile(1.1) = %g, want NaN", v)
-	}
-	empty := HistogramSnapshot{Bounds: bounds, Buckets: make([]uint64, len(bounds)+1)}
-	if v := empty.Quantile(0.5); !math.IsNaN(v) {
-		t.Errorf("empty Quantile = %g, want NaN", v)
-	}
-
-	// All mass in the overflow bucket: the estimate saturates at the
-	// highest finite bound.
-	over := HistogramSnapshot{Bounds: []float64{1, 2}, Buckets: []uint64{0, 0, 10}, Count: 10}
-	if v := over.Quantile(0.5); v != 2 {
-		t.Errorf("overflow Quantile = %g, want 2", v)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"sync"
@@ -9,17 +10,18 @@ import (
 	"time"
 )
 
-// SpanID identifies one span inside a Tracer's event stream. 0 means
+// spanID identifies one span of the process's event stream. 0 means
 // "no span" (events parented to 0 are top-level).
-type SpanID uint64
+type spanID uint64
 
 // Fields carries the event-specific payload. Values must be
 // JSON-marshalable; encoding/json sorts map keys, so the line layout is
 // deterministic for a given payload.
 type Fields map[string]any
 
-// reserved event keys; Fields entries with these names are dropped.
-var reservedKeys = [...]string{"ev", "span", "id", "parent", "t_us", "dur_us"}
+// reserved event keys: the header every line carries. Fields entries
+// with these names are dropped.
+var reservedKeys = [...]string{"ev", "t_us", "run_id", "span", "id", "parent", "dur_us"}
 
 // DefaultHotEvery is the default sampling interval for hot-path events
 // (per-component and per-cache-operation): one traced event per
@@ -27,31 +29,124 @@ var reservedKeys = [...]string{"ev", "span", "id", "parent", "t_us", "dur_us"}
 // never sampled.
 const DefaultHotEvery = 4096
 
-// Tracer emits JSON-lines trace events to an io.Writer. All methods are
-// safe for concurrent use; event lines are written atomically (one
-// mutex-guarded write per line), so the output is valid JSONL even when
-// multiple workers trace at once.
+// spanIDs issues process-unique span ids.
+var spanIDs atomic.Uint64
+
+// Span is one open span. It carries its own identity and start time, so
+// ending it needs no lookup; the zero Span (returned while no sink is
+// installed) ends as a no-op.
+type Span struct{ *span }
+
+type span struct {
+	id, parent spanID
+	run        uint64
+	kind       string
+	start      time.Duration // on the SinceStart clock
+}
+
+// Start opens a span of the given kind under ctx's span and run, emits
+// its span_start line, and returns a context carrying the span for the
+// events and spans nested under it. With no sink installed it costs one
+// atomic load and returns ctx unchanged with the zero Span.
+func Start(ctx context.Context, kind string, fields Fields) (context.Context, Span) {
+	if s := out.Load(); s != nil {
+		return start(s, ctx, kind, fields)
+	}
+	return ctx, Span{}
+}
+
+func start(s *sinks, ctx context.Context, kind string, fields Fields) (context.Context, Span) {
+	sc := scopeFrom(ctx)
+	sp := &span{id: spanID(spanIDs.Add(1)), parent: sc.span, run: sc.run, kind: kind, start: SinceStart()}
+	emit(s, sc.run, Fields{"ev": "span_start", "span": kind, "id": uint64(sp.id), "parent": uint64(sp.parent)}, sp.start, fields)
+	return context.WithValue(ctx, scopeKey{}, scope{run: sc.run, span: sp.id}), Span{sp}
+}
+
+// End emits the span's span_end line with its duration. It is a no-op on
+// the zero Span, and the line is dropped when no sink is installed by
+// the time the span ends.
+func (sp Span) End(fields Fields) {
+	if sp.span != nil {
+		sp.end(fields)
+	}
+}
+
+func (sp *span) end(fields Fields) {
+	s := out.Load()
+	if s == nil {
+		return
+	}
+	now := SinceStart()
+	emit(s, sp.run, Fields{
+		"ev": "span_end", "span": sp.kind, "id": uint64(sp.id), "parent": uint64(sp.parent),
+		"dur_us": (now - sp.start).Microseconds(),
+	}, now, fields)
+}
+
+// Event emits a point event of the given kind under ctx's span and run.
+// With no sink installed it costs one atomic load.
+func Event(ctx context.Context, kind string, fields Fields) {
+	if s := out.Load(); s != nil {
+		sc := scopeFrom(ctx)
+		emit(s, sc.run, Fields{"ev": kind, "parent": uint64(sc.span)}, SinceStart(), fields)
+	}
+}
+
+// emit is the one encoder of the event stream: it merges fields into the
+// header (header wins on key collisions), stamps t_us and run_id, and
+// sends the same line to the trace file and to the run's live
+// subscribers.
+func emit(s *sinks, run uint64, header Fields, at time.Duration, fields Fields) {
+	for k, v := range fields {
+		if !reserved(k) {
+			header[k] = v
+		}
+	}
+	header["t_us"] = at.Microseconds()
+	if run != 0 {
+		header["run_id"] = run
+	}
+	line, err := json.Marshal(header)
+	if err != nil {
+		// Unmarshalable payload: degrade to an error event rather than
+		// corrupting the stream.
+		line, _ = json.Marshal(Fields{"ev": "trace_error", "error": err.Error(), "t_us": at.Microseconds()})
+	}
+	if s.file != nil {
+		s.file.write(line)
+	}
+	if s.live {
+		Stream.send(run, line)
+	}
+}
+
+func reserved(k string) bool {
+	for _, r := range reservedKeys {
+		if k == r {
+			return true
+		}
+	}
+	return false
+}
+
+// Tracer is the trace file sink: it writes every event line to an
+// io.Writer, buffered and lossless. All methods are safe for concurrent
+// use; each line is written whole under one mutex, so the output is
+// valid JSONL even when multiple workers emit at once.
 //
-// The Tracer buffers internally; call Close (or Flush) before reading
-// the underlying writer. Close does not close the underlying writer.
+// Call Close (or Flush) before reading the underlying writer. Close does
+// not close the underlying writer.
 type Tracer struct {
 	mu       sync.Mutex
 	w        *bufio.Writer
 	err      error
-	start    time.Time
-	starts   map[SpanID]time.Time
-	nextID   atomic.Uint64
 	hotEvery uint64
 }
 
-// NewTracer creates a tracer writing JSONL to w.
+// NewTracer creates a trace file sink writing JSONL to w. Install it
+// with SetTracer.
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{
-		w:        bufio.NewWriterSize(w, 1<<16),
-		start:    time.Now(),
-		starts:   make(map[SpanID]time.Time),
-		hotEvery: DefaultHotEvery,
-	}
+	return &Tracer{w: bufio.NewWriterSize(w, 1<<16), hotEvery: DefaultHotEvery}
 }
 
 // SetHotEvery changes the sampling interval advertised to hot-path
@@ -78,10 +173,6 @@ func (t *Tracer) Err() error {
 func (t *Tracer) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.flushLocked()
-}
-
-func (t *Tracer) flushLocked() error {
 	if err := t.w.Flush(); err != nil && t.err == nil {
 		t.err = err
 	}
@@ -92,63 +183,10 @@ func (t *Tracer) flushLocked() error {
 // caller owns it).
 func (t *Tracer) Close() error { return t.Flush() }
 
-// StartSpan opens a span of the given kind under parent (0 = root) and
-// emits its span_start event.
-func (t *Tracer) StartSpan(parent SpanID, kind string, fields Fields) SpanID {
-	id := SpanID(t.nextID.Add(1))
-	now := time.Now()
+// write appends one line and its newline.
+func (t *Tracer) write(line []byte) {
 	t.mu.Lock()
-	t.starts[id] = now
-	t.emitLocked(now, Fields{"ev": "span_start", "span": kind, "id": uint64(id), "parent": uint64(parent)}, fields)
-	t.mu.Unlock()
-	return id
-}
-
-// EndSpan closes a span, emitting its span_end event with the measured
-// duration. Ending an unknown (or already-ended) span is a no-op for
-// the duration but still emits the event with dur_us 0.
-func (t *Tracer) EndSpan(id SpanID, kind string, fields Fields) {
-	now := time.Now()
-	t.mu.Lock()
-	var dur time.Duration
-	if s, ok := t.starts[id]; ok {
-		dur = now.Sub(s)
-		delete(t.starts, id)
-	}
-	t.emitLocked(now, Fields{"ev": "span_end", "span": kind, "id": uint64(id), "dur_us": dur.Microseconds()}, fields)
-	t.mu.Unlock()
-}
-
-// Event emits a point event of the given kind, parented to a span.
-func (t *Tracer) Event(parent SpanID, kind string, fields Fields) {
-	now := time.Now()
-	t.mu.Lock()
-	t.emitLocked(now, Fields{"ev": kind, "parent": uint64(parent)}, fields)
-	t.mu.Unlock()
-}
-
-// emitLocked merges fields into the header map (header wins on key
-// collisions), stamps the relative timestamp, and writes one JSON line.
-func (t *Tracer) emitLocked(now time.Time, header, fields Fields) {
-	for k, v := range fields {
-		skip := false
-		for _, res := range reservedKeys {
-			if k == res {
-				skip = true
-				break
-			}
-		}
-		if !skip {
-			header[k] = v
-		}
-	}
-	header["t_us"] = now.Sub(t.start).Microseconds()
-	line, err := json.Marshal(header)
-	if err != nil {
-		// Unmarshalable payload: degrade to an error event rather than
-		// corrupting the stream.
-		line, _ = json.Marshal(Fields{"ev": "trace_error", "error": err.Error()})
-	}
+	defer t.mu.Unlock()
 	if _, err := t.w.Write(line); err != nil && t.err == nil {
 		t.err = err
 	}

@@ -152,19 +152,10 @@ func Build(ctx context.Context, exact, approx *circuit.Circuit, specs []Spec, no
 	}
 	session := strings.Join(names, "+")
 
-	tr := obs.Active()
-	var span obs.SpanID
-	if tr != nil {
-		span = tr.StartSpan(obs.SpanFrom(ctx), "plan", obs.Fields{
-			"session": session, "metrics": len(specs),
-		})
-	}
-
+	_, span := obs.Start(ctx, "plan", obs.Fields{"session": session, "metrics": len(specs)})
 	b, err := miter.NewBase(exact, approx, exact.Name+"_miter")
 	if err != nil {
-		if tr != nil {
-			tr.EndSpan(span, "plan", obs.Fields{"error": err.Error()})
-		}
+		span.End(obs.Fields{"error": err.Error()})
 		return nil, err
 	}
 	p := &Plan{
@@ -207,16 +198,14 @@ func Build(ctx context.Context, exact, approx *circuit.Circuit, specs []Spec, no
 			m.Outputs = []string{"f1"}
 			m.Weights = []*big.Int{big.NewInt(1)}
 		default:
-			if tr != nil {
-				tr.EndSpan(span, "plan", obs.Fields{"error": "unknown metric kind"})
-			}
+			span.End(obs.Fields{"error": "unknown metric kind"})
 			return nil, fmt.Errorf("plan: unknown metric kind %d", int(s.Kind))
 		}
 		p.Metrics[i] = m
 	}
 
 	p.compile(c, noSynth)
-	p.finish(tr, span)
+	p.finish(span)
 	return p, nil
 }
 
@@ -229,13 +218,7 @@ func FromMiter(ctx context.Context, name string, m *circuit.Circuit, weights []*
 	if len(weights) != m.NumOutputs() {
 		return nil, fmt.Errorf("plan: %d weights for %d outputs", len(weights), m.NumOutputs())
 	}
-	tr := obs.Active()
-	var span obs.SpanID
-	if tr != nil {
-		span = tr.StartSpan(obs.SpanFrom(ctx), "plan", obs.Fields{
-			"session": name, "metrics": 1,
-		})
-	}
+	_, span := obs.Start(ctx, "plan", obs.Fields{"session": name, "metrics": 1})
 	work := m
 	if noSynth {
 		work = m.Clone() // compile re-purposes the outputs; keep the caller's copy intact
@@ -255,23 +238,21 @@ func FromMiter(ctx context.Context, name string, m *circuit.Circuit, weights []*
 		Metrics:         []Metric{met},
 	}
 	p.compile(work, noSynth)
-	p.finish(tr, span)
+	p.finish(span)
 	return p, nil
 }
 
 // finish records the compiled plan in the metrics registry and closes
 // its trace span.
-func (p *Plan) finish(tr *obs.Tracer, span obs.SpanID) {
+func (p *Plan) finish(span obs.Span) {
 	mPlans.Inc()
 	mTasks.Add(uint64(len(p.Tasks)))
 	mTasksDeduped.Add(uint64(p.TasksDeduped()))
-	if tr != nil {
-		tr.EndSpan(span, "plan", obs.Fields{
-			"tasks_requested": p.TasksRequested, "tasks": len(p.Tasks),
-			"tasks_deduped":     p.TasksDeduped(),
-			"base_nodes_before": p.BaseNodesBefore, "base_nodes_after": p.BaseNodesAfter,
-		})
-	}
+	span.End(obs.Fields{
+		"tasks_requested": p.TasksRequested, "tasks": len(p.Tasks),
+		"tasks_deduped":     p.TasksDeduped(),
+		"base_nodes_before": p.BaseNodesBefore, "base_nodes_after": p.BaseNodesAfter,
+	})
 }
 
 // compile cuts one cone per output of c (the session's requested bits,
@@ -518,10 +499,10 @@ func (p *Plan) Run(ctx context.Context, be engine.Backend, cfg engine.Config, pr
 		Tasks:   p.Tasks,
 		Config:  cfg,
 	}
-	// The adapter is also installed when the live stream hub has
-	// subscribers, so an introspection client sees per-bit progress even
-	// when the caller passed no callback.
-	if progress != nil || obs.Stream.Active() {
+	// The adapter is also installed while an event sink is, so the trace
+	// and the live stream see per-bit progress even when the caller
+	// passed no callback.
+	if progress != nil || obs.Enabled() {
 		runID := obs.RunFrom(ctx)
 		refs := p.taskRefs()
 		metricDone := make([]int, len(p.Metrics))
@@ -548,9 +529,9 @@ func (p *Plan) Run(ctx context.Context, be engine.Backend, cfg engine.Config, pr
 				if progress != nil {
 					progress(ev)
 				}
-				if obs.Stream.Active() {
-					obs.Stream.Publish("progress", obs.Fields{
-						"run_id": runID, "metric": ev.Metric, "output": ev.Output,
+				if obs.Enabled() {
+					obs.Event(ctx, "progress", obs.Fields{
+						"metric": ev.Metric, "output": ev.Output,
 						"count": ev.Count.String(), "done": ev.Done, "total": ev.Total,
 						"session_done": ev.SessionDone, "session_total": ev.SessionTotal,
 						"shared": ev.Shared, "trivial": ev.Trivial, "approx": ev.Approx,

@@ -279,11 +279,11 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.store.Stats())
 }
 
-// handleEvents streams the obs hub to one client, filtered to the job's
-// run ID, until the job finishes (a final job_state line is synthesized
-// from the job record, so a subscriber that arrived after completion —
-// or after the last hub event — still gets a terminal line) or the
-// client disconnects. NDJSON by default, SSE with Accept:
+// handleEvents streams the event lines of the job's run to one client
+// until the job finishes (a final job_state line is synthesized from the
+// job record, so a subscriber that arrived after completion — or after
+// the job's last event — still gets a terminal line) or the client
+// disconnects. NDJSON by default, SSE with Accept:
 // text/event-stream — the same convention as /debug/vacsem/progress.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	st, done, runID, ok := s.status(r.PathValue("id"))
@@ -309,8 +309,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Subscribe before checking for completion, so no event between the
-	// two is lost; events for other runs are filtered out by run_id.
-	ch, cancel := obs.Stream.Subscribe(0)
+	// two is lost.
+	ch, cancel := obs.Stream.Subscribe(runID, 0)
 	defer cancel()
 	open, _ := json.Marshal(obs.Fields{
 		"ev": "stream_open", "job_id": st.JobID, "run_id": runID, "state": st.State,
@@ -326,9 +326,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			if !eventForRun(ev, runID) {
-				continue
-			}
 			if !writeLine(ev) {
 				return
 			}
@@ -338,7 +335,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			for {
 				select {
 				case ev, ok := <-ch:
-					if ok && eventForRun(ev, runID) && !writeLine(ev) {
+					if ok && !writeLine(ev) {
 						return
 					}
 					if !ok {
@@ -354,17 +351,4 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// eventForRun reports whether a hub event line belongs to the run. Hub
-// lines are small JSON objects; decoding just the run_id keeps the
-// filter exact (a substring test would alias run 1 against run 12).
-func eventForRun(line []byte, runID uint64) bool {
-	var probe struct {
-		RunID uint64 `json:"run_id"`
-	}
-	if err := json.Unmarshal(line, &probe); err != nil {
-		return false
-	}
-	return probe.RunID == runID
 }

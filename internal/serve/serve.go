@@ -12,9 +12,11 @@
 //	POST /v1/verify            submit a job (JSON body; 202 + job id,
 //	                           429 when the queue is full)
 //	GET  /v1/jobs/{id}         job status and, when done, the result
-//	GET  /v1/jobs/{id}/events  live progress for one job: the obs
-//	                           stream hub filtered to the job's run
-//	                           (NDJSON; SSE with Accept: text/event-stream)
+//	GET  /v1/jobs/{id}/events  live progress for one job: the event
+//	                           lines of its run (job, session and task
+//	                           spans, per-bit progress), closed by a
+//	                           job_state line (NDJSON; SSE with
+//	                           Accept: text/event-stream)
 //	GET  /v1/store             store statistics (both tiers)
 //	/metrics, /debug/...       the obs/expo introspection handler
 //
@@ -245,10 +247,12 @@ func (s *Server) runner() {
 	}
 }
 
-// runJob executes one job against the shared store and records its
-// outcome. The job's run ID is stamped on the context before core runs,
-// so every span, hub event and progress line of the verification
-// carries it — the events endpoint filters the shared hub by it.
+// runJob executes one job against the shared store, under its "job"
+// span, and records its outcome. The job's run ID is stamped on the
+// context before core runs, so every event line of the job carries it —
+// the events endpoint subscribes to the stream by it. The span ends
+// before the job is marked finished, so a stream that closes on
+// completion has the job's every line.
 func (s *Server) runJob(j *Job) {
 	if h := s.beforeJob; h != nil {
 		h(j)
@@ -257,11 +261,15 @@ func (s *Server) runJob(j *Job) {
 	j.state = StateRunning
 	j.started = time.Now()
 	s.mu.Unlock()
-	obs.Stream.Publish("job_start", obs.Fields{
-		"run_id": j.RunID, "job_id": j.ID, "session": sessionName(j.specs),
+	ctx, span := obs.Start(obs.WithRun(s.jobCtx, j.RunID), "job", obs.Fields{
+		"job_id": j.ID, "session": sessionName(j.specs),
 	})
-
-	sr, err := verifyJob(obs.WithRun(s.jobCtx, j.RunID), j)
+	sr, err := verifyJob(ctx, j)
+	end := obs.Fields{"job_id": j.ID}
+	if err != nil {
+		end["error"] = err.Error()
+	}
+	span.End(end)
 
 	s.mu.Lock()
 	j.finished = time.Now()
@@ -281,11 +289,6 @@ func (s *Server) runJob(j *Job) {
 		mDone.Inc()
 	}
 	hJobRun.Observe(runSec)
-	f := obs.Fields{"run_id": j.RunID, "job_id": j.ID, "seconds": runSec}
-	if err != nil {
-		f["error"] = err.Error()
-	}
-	obs.Stream.Publish("job_done", f)
 }
 
 // verifyJob runs the job's session. A panic anywhere in the library

@@ -290,45 +290,93 @@ func TestServeAdmissionControl(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestServeEvents checks the per-job event stream: it must carry only
-// this job's run (plus the synthesized open/terminal lines) and must
-// terminate with the job's final state even for a subscriber that
-// arrives after completion.
+// TestServeEvents checks the per-job event stream: with two jobs
+// running at once, each stream carries only its own run's lines (plus
+// the synthesized open/terminal lines), the job's session and job spans
+// end before the closing job_state line, and a subscriber that arrives
+// after completion still gets the terminal state.
 func TestServeEvents(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
-	done := runJobHTTP(t, hs.URL, adderRequest(t, 10, 3))
+	s, hs := newTestServer(t, Config{JobWorkers: 2})
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(open)
+	s.beforeJob = func(*Job) { <-release }
 
-	resp, err := http.Get(hs.URL + "/v1/jobs/" + done.JobID + "/events")
+	jobs := []SubmitResponse{submit(t, hs.URL, adderRequest(t, 10, 3)), submit(t, hs.URL, adderRequest(t, 8, 2))}
+	decs := make([]*json.Decoder, len(jobs))
+	for i, j := range jobs {
+		resp, err := http.Get(hs.URL + "/v1/jobs/" + j.JobID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Errorf("content type %q", ct)
+		}
+		decs[i] = json.NewDecoder(resp.Body)
+	}
+	readAll := func(dec *json.Decoder) []map[string]any {
+		var lines []map[string]any
+		for dec.More() {
+			var m map[string]any
+			if err := dec.Decode(&m); err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, m)
+		}
+		return lines
+	}
+	// The stream_open line is written after the subscription, so once
+	// both arrived the jobs may run.
+	runs := make([]uint64, len(jobs))
+	for i, dec := range decs {
+		var first map[string]any
+		if err := dec.Decode(&first); err != nil || first["ev"] != "stream_open" {
+			t.Fatalf("job %d first line = %v (%v), want stream_open", i, first, err)
+		}
+		runs[i] = uint64(first["run_id"].(float64))
+	}
+	if runs[0] == runs[1] {
+		t.Fatalf("both jobs have run %d", runs[0])
+	}
+	open()
+
+	for i, run := range runs {
+		lines := readAll(decs[i])
+		if len(lines) == 0 {
+			t.Fatalf("job %d stream closed without lines", i)
+		}
+		last := lines[len(lines)-1]
+		if last["ev"] != "job_state" || last["state"] != string(StateDone) {
+			t.Errorf("job %d terminal line = %v", i, last)
+		}
+		ended := map[string]bool{}
+		for _, l := range lines {
+			if id, ok := l["run_id"].(float64); !ok || uint64(id) != run {
+				t.Errorf("job %d (run %d) stream carries a line of run %v: %v", i, run, l["run_id"], l)
+			}
+			if l["ev"] == "span_end" {
+				ended[l["span"].(string)] = true
+			}
+		}
+		for _, span := range []string{"session", "job", "sub_miter"} {
+			if !ended[span] {
+				t.Errorf("job %d stream closed before its %s span ended", i, span)
+			}
+		}
+	}
+
+	// A subscriber arriving after completion gets the open and terminal
+	// lines only.
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + jobs[0].JobID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("content type %q", ct)
-	}
-	var lines []map[string]any
-	dec := json.NewDecoder(resp.Body)
-	for dec.More() {
-		var m map[string]any
-		if err := dec.Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, m)
-	}
-	if len(lines) < 2 {
-		t.Fatalf("got %d event lines, want at least open + terminal", len(lines))
-	}
-	if lines[0]["ev"] != "stream_open" {
-		t.Errorf("first line ev = %v", lines[0]["ev"])
-	}
-	last := lines[len(lines)-1]
-	if last["ev"] != "job_state" || last["state"] != string(StateDone) {
-		t.Errorf("terminal line = %v", last)
-	}
-	for _, l := range lines {
-		if id, ok := l["run_id"].(float64); ok && uint64(id) != done.RunID {
-			t.Errorf("event for foreign run %v leaked into job %s stream", id, done.JobID)
-		}
+	late := readAll(json.NewDecoder(resp.Body))
+	resp.Body.Close()
+	if len(late) != 2 || late[0]["ev"] != "stream_open" || late[1]["ev"] != "job_state" {
+		t.Errorf("late subscriber got %v", late)
 	}
 
 	// Unknown jobs 404 on both endpoints.

@@ -273,11 +273,12 @@ func WriteAIGER(w io.Writer, c *Circuit) error { return aiger.Write(w, c) }
 func WriteVerilog(w io.Writer, c *Circuit) error { return verilog.Write(w, c) }
 
 // Observability (see internal/obs): span-based JSONL tracing and a
-// process-wide metrics registry. Both are off by default and cost about
-// one atomic load per instrumented operation when disabled; enabling
-// tracing never changes verified counts.
+// process-wide metrics registry. Tracing is off by default and costs one
+// atomic load per instrumented operation when disabled; enabling it
+// never changes verified counts.
 
-// Tracer streams span and point events as JSON lines; see NewTracer.
+// Tracer is the trace file sink: it writes the span and point events of
+// every verification as JSON lines; see NewTracer.
 type Tracer = obs.Tracer
 
 // MetricsSnapshot is a point-in-time copy of the metrics registry.
