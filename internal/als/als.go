@@ -5,8 +5,11 @@
 // synthesis: candidate local substitutions (replace a gate by a constant
 // or by an existing earlier signal) are scored with word-parallel random
 // simulation against the exact circuit, and accepted while the estimated
-// error rate stays within the configured budget. Runs are deterministic
-// in the seed, so benchmark circuits are reproducible.
+// error rate stays within the configured budget. Every node's signature
+// is kept across candidates (sim.Resim): a candidate re-simulates only
+// the rewritten gate's transitive fanout, until the change dies out, and
+// an accepted one is committed rather than re-simulated. Runs are
+// deterministic in the seed, so benchmark circuits are reproducible.
 //
 // The package also provides the classic structured approximations used
 // throughout the approximate-arithmetic literature: lower-OR adders and
@@ -17,6 +20,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"vacsem/internal/circuit"
 	"vacsem/internal/gen"
@@ -71,17 +75,12 @@ func Approximate(exact *circuit.Circuit, cfg Config) *circuit.Circuit {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	vectors := sim.RandomVectors(exact.NumInputs(), cfg.Words, rng)
-	refOut := sim.RunMany(exact, vectors, cfg.Words)
 
 	cur := exact.Clone()
 	cur.Name = fmt.Sprintf("%s_approx_s%d", exact.Name, cfg.Seed)
+	sc := newScorer(cur, vectors, cfg.Words)
 	moves := 0
 	for moves < cfg.MaxMoves {
-		// Per-node signatures guide the substitution search (the
-		// "resubstitution with approximate care set" idea of ALSRAC):
-		// a replacement whose signature differs from the target node on
-		// d out of N patterns changes each output on at most d patterns.
-		sigs := sim.RunAllNodes(cur, vectors, cfg.Words)
 		totalPatterns := cfg.Words * 64
 		maxDiff := int(cfg.TargetER * float64(totalPatterns) * 4)
 		if maxDiff < 1 {
@@ -98,25 +97,29 @@ func Approximate(exact *circuit.Circuit, cfg Config) *circuit.Circuit {
 			// Search sampled earlier nodes (and the constants) for the
 			// replacement with the smallest positive signature distance.
 			bestRepl, bestNeg, bestDist := -1, false, totalPatterns+1
-			consider := func(h int, neg bool) {
-				d := sigDistance(sigs[id], sigs[h], neg)
+			// Per-node signatures guide the search (the "resubstitution
+			// with approximate care set" idea of ALSRAC): a replacement
+			// whose signature differs from the target node on d out of N
+			// patterns changes each output on at most d patterns.
+			// consider weighs h, then its complement.
+			consider := func(h int) {
+				d, agree := sigDistance(sc.resim.Sig(id), sc.resim.Sig(h), bestDist)
 				if d > 0 && d < bestDist {
-					bestRepl, bestNeg, bestDist = h, neg, d
+					bestRepl, bestNeg, bestDist = h, false, d
+				}
+				if agree > 0 && agree < bestDist {
+					bestRepl, bestNeg, bestDist = h, true, agree
 				}
 			}
-			consider(0, false) // const0
-			consider(0, true)  // const1
+			consider(0) // const0, then const1
 			samples := 48
 			if id < samples {
 				for h := 1; h < id; h++ {
-					consider(h, false)
-					consider(h, true)
+					consider(h)
 				}
 			} else {
 				for s := 0; s < samples; s++ {
-					h := 1 + rng.Intn(id-1)
-					consider(h, false)
-					consider(h, true)
+					consider(1 + rng.Intn(id-1))
 				}
 			}
 			if bestRepl < 0 || bestDist > maxDiff {
@@ -129,7 +132,8 @@ func Approximate(exact *circuit.Circuit, cfg Config) *circuit.Circuit {
 				nd.Kind = circuit.Buf
 			}
 			nd.Fanins = []int{bestRepl}
-			if er := estimateER(cur, vectors, refOut, cfg.Words); er <= cfg.TargetER {
+			if er := sc.try(id, cfg.TargetER); er <= cfg.TargetER {
+				sc.commit()
 				applied = true
 				moves++
 				break
@@ -143,8 +147,8 @@ func Approximate(exact *circuit.Circuit, cfg Config) *circuit.Circuit {
 	}
 	if cfg.RequireError {
 		budget := cfg.TargetER
-		for round := 0; round < 8 && estimateER(cur, vectors, refOut, cfg.Words) == 0; round++ {
-			if !forceErrorMove(cur, rng, vectors, refOut, cfg.Words, budget) {
+		for round := 0; round < 8 && sc.er == 0; round++ {
+			if !forceErrorMove(cur, rng, sc, budget) {
 				budget *= 2 // relax and retry
 			}
 		}
@@ -155,7 +159,7 @@ func Approximate(exact *circuit.Circuit, cfg Config) *circuit.Circuit {
 // forceErrorMove applies one substitution that introduces a strictly
 // positive estimated error within the budget. Reports whether a move was
 // applied.
-func forceErrorMove(cur *circuit.Circuit, rng *rand.Rand, vectors, refOut [][]uint64, words int, budget float64) bool {
+func forceErrorMove(cur *circuit.Circuit, rng *rand.Rand, sc *scorer, budget float64) bool {
 	for try := 0; try < 200; try++ {
 		id := 1 + rng.Intn(cur.NumNodes()-1)
 		nd := &cur.Nodes[id]
@@ -169,8 +173,8 @@ func forceErrorMove(cur *circuit.Circuit, rng *rand.Rand, vectors, refOut [][]ui
 		oldKind, oldFanins := nd.Kind, nd.Fanins
 		nd.Kind = circuit.Buf
 		nd.Fanins = []int{repl}
-		er := estimateER(cur, vectors, refOut, words)
-		if er > 0 && er <= budget {
+		if er := sc.try(id, budget); er > 0 && er <= budget {
+			sc.commit()
 			return true
 		}
 		nd.Kind = oldKind
@@ -179,33 +183,87 @@ func forceErrorMove(cur *circuit.Circuit, rng *rand.Rand, vectors, refOut [][]ui
 	return false
 }
 
-// sigDistance counts the patterns where sig differs from repl (or its
-// complement when neg is true).
-func sigDistance(sig, repl []uint64, neg bool) int {
-	d := 0
+// sigDistance counts the patterns on which sig and repl differ (d) and
+// agree (agree, the distance to repl's complement). The caller only asks
+// whether either stays below limit, so the count stops early once both
+// have reached it.
+func sigDistance(sig, repl []uint64, limit int) (d, agree int) {
+	repl = repl[:len(sig)]
 	for w := range sig {
-		x := sig[w] ^ repl[w]
-		if neg {
-			x = ^x
+		d += bits.OnesCount64(sig[w] ^ repl[w])
+		if agree = 64*(w+1) - d; d >= limit && agree >= limit {
+			break
 		}
-		d += bits.OnesCount64(x)
 	}
-	return d
+	return d, agree
 }
 
-// estimateER estimates the error rate of cand against the reference
-// output vectors on the same input vectors.
-func estimateER(cand *circuit.Circuit, vectors [][]uint64, refOut [][]uint64, words int) float64 {
-	out := sim.RunMany(cand, vectors, words)
-	var errCnt int
-	for w := 0; w < words; w++ {
+// scorer estimates the error rate of the circuit being approximated, and
+// of each single-gate rewrite of it, against the exact circuit's output
+// signatures on the same input vectors. Each rewrite is re-simulated
+// incrementally by a sim.Resim over the circuit's kept signatures.
+type scorer struct {
+	resim   *sim.Resim
+	outputs []int
+	refOut  [][]uint64 // the exact circuit's output signatures
+	out     [][]uint64 // scratch: the rewrite's output signatures
+	words   int
+	// er is the kept circuit's error rate (0 while it equals the exact
+	// one), cand the last tried rewrite's.
+	er, cand float64
+}
+
+// newScorer keeps the signatures of cur, still equal to the exact
+// circuit, and copies its output signatures as the reference.
+func newScorer(cur *circuit.Circuit, vectors [][]uint64, words int) *scorer {
+	sc := &scorer{
+		resim:   sim.NewResim(cur, vectors, words),
+		outputs: cur.Outputs,
+		refOut:  make([][]uint64, len(cur.Outputs)),
+		out:     make([][]uint64, len(cur.Outputs)),
+		words:   words,
+	}
+	for j, o := range cur.Outputs {
+		sc.refOut[j] = slices.Clone(sc.resim.Sig(o))
+	}
+	return sc
+}
+
+// try re-simulates the circuit after the caller rewrote gate id and
+// returns the rewritten circuit's estimated error rate. Past limit the
+// estimate may stop early, at a rate that already exceeds limit.
+func (sc *scorer) try(id int, limit float64) float64 {
+	sc.resim.Update(id)
+	sc.cand = sc.errorRate(limit)
+	return sc.cand
+}
+
+// commit keeps the last tried rewrite, which the circuit still holds.
+func (sc *scorer) commit() {
+	sc.resim.Commit()
+	sc.er = sc.cand
+}
+
+// errorRate is the share of the words*64 simulated patterns on which
+// some output of the last tried rewrite differs from the reference. It
+// returns the share counted so far once that exceeds limit.
+func (sc *scorer) errorRate(limit float64) float64 {
+	for j, o := range sc.outputs {
+		sc.out[j] = sc.resim.Cand(o)
+	}
+	total := float64(sc.words * 64)
+	errCnt := 0
+	for w := 0; w < sc.words; w++ {
 		var diff uint64
-		for j := range out {
-			diff |= out[j][w] ^ refOut[j][w]
+		for j, out := range sc.out {
+			diff |= out[w] ^ sc.refOut[j][w]
 		}
 		errCnt += bits.OnesCount64(diff)
+		if w%8 == 7 && float64(errCnt)/total > limit {
+			break
+		}
 	}
-	return float64(errCnt) / float64(words*64)
+	return float64(errCnt) / total
 }
 
 // LowerORAdder builds the classic LOA approximate adder: the low k result

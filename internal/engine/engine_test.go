@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"sort"
@@ -376,4 +377,51 @@ func TestTaskPanicReachesCaller(t *testing.T) {
 		}
 	}()
 	engine.Execute(context.Background(), b, req)
+}
+
+// TestBatchSpansCarryRuntime checks that a task counted inside a batch —
+// the enum and bdd backends' one pass, the vacsem backend's session
+// sweep — has a "sub_miter" span as long as its Runtime: the span is
+// timed from when the task's work began, not from when the batch
+// reported it.
+func TestBatchSpansCarryRuntime(t *testing.T) {
+	_, med := medRequest(t, 8)
+	for _, tc := range []struct {
+		backend string
+		req     *engine.Request
+	}{{"enum", med}, {"bdd", med}, {"vacsem", disjointMiter(t)}} {
+		var buf bytes.Buffer
+		tr := obs.NewTracer(&buf)
+		obs.SetTracer(tr)
+		res := execute(t, tc.backend, tc.req)
+		obs.SetTracer(nil)
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ended := 0
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var ev struct {
+				Ev, Span string
+				Index    int
+				DurUS    int64 `json:"dur_us"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Ev != "span_end" || ev.Span != "sub_miter" {
+				continue
+			}
+			ended++
+			r := res[ev.Index]
+			if tc.backend == "vacsem" && !swept(r) {
+				t.Errorf("vacsem: task %d not swept: %+v", ev.Index, r.Stats)
+			}
+			if want := r.Runtime.Microseconds(); ev.DurUS < want-1 || ev.DurUS > want+1 {
+				t.Errorf("%s: task %d span lasts %d µs, Runtime %d µs", tc.backend, ev.Index, ev.DurUS, want)
+			}
+		}
+		if ended != len(tc.req.Tasks) {
+			t.Errorf("%s: %d sub_miter spans ended for %d tasks", tc.backend, ended, len(tc.req.Tasks))
+		}
+	}
 }

@@ -99,8 +99,8 @@ func Execute(ctx context.Context, be Backend, req *Request) ([]TaskResult, error
 }
 
 // Emit reports the result of task j (an index into Request.Tasks) for a
-// backend that counts its tasks in one batch: the task starts with the
-// batch.
+// backend that counts its tasks in one batch: the task, its Runtime and
+// its span start with the batch.
 func (e *Emitter) Emit(j int, res TaskResult) {
 	e.begin(e.ctx, j, e.batch)
 	e.finish(j, res, nil)
@@ -108,8 +108,8 @@ func (e *Emitter) Emit(j int, res TaskResult) {
 
 // emitShare reports the result of task j, one of the tasks a shared
 // pass that just ended counted together, with share — its part of the
-// pass's wall time — as its Runtime, so the Runtimes of a pass's tasks
-// sum to the pass.
+// pass's wall time — as its Runtime and its span's length, so the
+// Runtimes of a pass's tasks sum to the pass.
 func (e *Emitter) emitShare(j int, res TaskResult, share time.Duration) {
 	e.begin(e.ctx, j, time.Now().Add(-share))
 	e.finish(j, res, nil)
@@ -206,14 +206,15 @@ func (e *Emitter) record(t *CountTask, res *TaskResult) {
 	st.StoreCone(t.Key, entry)
 }
 
-// begin opens task j: its "sub_miter" span under ctx's span. The
-// returned context carries the task's span, so the counter's
-// component/cache/sim_decision events nest under it.
+// begin opens task j, whose work began at start: its "sub_miter" span
+// under ctx's span, timed from start. The returned context carries the
+// task's span, so the counter's component/cache/sim_decision events nest
+// under it.
 func (e *Emitter) begin(ctx context.Context, j int, start time.Time) context.Context {
 	e.open[j].start = start
 	if obs.Enabled() {
 		t := &e.req.Tasks[j]
-		ctx, e.open[j].span = obs.Start(ctx, "sub_miter", obs.Fields{
+		ctx, e.open[j].span = obs.StartAt(ctx, "sub_miter", start, obs.Fields{
 			"backend": e.be.Name(), "index": j, "output": t.Label,
 			"nodes_before": t.NodesBefore,
 		})
@@ -223,12 +224,13 @@ func (e *Emitter) begin(ctx context.Context, j int, start time.Time) context.Con
 
 // finish is the single emit point of a begun task: it stamps the task's
 // Runtime, records a computed count in the store, and turns the result
-// into the engine.sub_miter* metrics, the "sub_miter" span end and —
-// unless the task failed — its result slot and TaskEvent. Calls are
-// serialized.
+// into the engine.sub_miter* metrics, the "sub_miter" span end — whose
+// duration is the Runtime — and, unless the task failed, its result slot
+// and TaskEvent. Calls are serialized.
 func (e *Emitter) finish(j int, res TaskResult, err error) {
 	t := &e.req.Tasks[j]
-	res.Runtime = time.Since(e.open[j].start)
+	end := time.Now()
+	res.Runtime = end.Sub(e.open[j].start)
 	if res.Count == nil {
 		res.Count = new(big.Int)
 	}
@@ -254,7 +256,7 @@ func (e *Emitter) finish(j int, res TaskResult, err error) {
 		if err != nil {
 			f["error"] = err.Error()
 		}
-		e.open[j].span.End(f)
+		e.open[j].span.EndAt(end, f)
 	}
 	if err != nil {
 		return

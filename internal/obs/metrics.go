@@ -18,7 +18,10 @@
 //	{"ev":"span_end",  "span":KIND,"id":N,"parent":N,"t_us":T,"dur_us":D,"run_id":R, ...fields}
 //	{"ev":EVENT,"parent":N,"t_us":T,"run_id":R, ...fields}
 //
-// t_us is microseconds on the SinceStart clock. Span kinds used by the
+// t_us is microseconds on the SinceStart clock: when the line's moment
+// happened, so a span opened with StartAt (a task counted inside a
+// batch, stamped at its start) is written after lines with later t_us.
+// Span kinds used by the
 // stack: "job" (one vacsem-serve job), "session" (one verification
 // session, internal/core), "plan" (compiling it, internal/plan),
 // "backend" (one engine.Execute), "sub_miter" (one counting task,

@@ -50,14 +50,25 @@ type span struct {
 // atomic load and returns ctx unchanged with the zero Span.
 func Start(ctx context.Context, kind string, fields Fields) (context.Context, Span) {
 	if s := out.Load(); s != nil {
-		return start(s, ctx, kind, fields)
+		return start(s, ctx, kind, SinceStart(), fields)
 	}
 	return ctx, Span{}
 }
 
-func start(s *sinks, ctx context.Context, kind string, fields Fields) (context.Context, Span) {
+// StartAt is Start for a span whose work began at an earlier instant:
+// its span_start line is stamped at that instant. A task counted inside
+// a batch opens its span when the batch reports it, from when its work
+// began.
+func StartAt(ctx context.Context, kind string, at time.Time, fields Fields) (context.Context, Span) {
+	if s := out.Load(); s != nil {
+		return start(s, ctx, kind, at.Sub(processStart), fields)
+	}
+	return ctx, Span{}
+}
+
+func start(s *sinks, ctx context.Context, kind string, at time.Duration, fields Fields) (context.Context, Span) {
 	sc := scopeFrom(ctx)
-	sp := &span{id: spanID(spanIDs.Add(1)), parent: sc.span, run: sc.run, kind: kind, start: SinceStart()}
+	sp := &span{id: spanID(spanIDs.Add(1)), parent: sc.span, run: sc.run, kind: kind, start: at}
 	emit(s, sc.run, Fields{"ev": "span_start", "span": kind, "id": uint64(sp.id), "parent": uint64(sp.parent)}, sp.start, fields)
 	return context.WithValue(ctx, scopeKey{}, scope{run: sc.run, span: sp.id}), Span{sp}
 }
@@ -67,20 +78,28 @@ func start(s *sinks, ctx context.Context, kind string, fields Fields) (context.C
 // the time the span ends.
 func (sp Span) End(fields Fields) {
 	if sp.span != nil {
-		sp.end(fields)
+		sp.end(SinceStart(), fields)
 	}
 }
 
-func (sp *span) end(fields Fields) {
+// EndAt is End with the span ending at the instant at, so its dur_us is
+// exactly the time from the span's start to at: a caller that also
+// times the work reads both from the same two instants.
+func (sp Span) EndAt(at time.Time, fields Fields) {
+	if sp.span != nil {
+		sp.end(at.Sub(processStart), fields)
+	}
+}
+
+func (sp *span) end(at time.Duration, fields Fields) {
 	s := out.Load()
 	if s == nil {
 		return
 	}
-	now := SinceStart()
 	emit(s, sp.run, Fields{
 		"ev": "span_end", "span": sp.kind, "id": uint64(sp.id), "parent": uint64(sp.parent),
-		"dur_us": (now - sp.start).Microseconds(),
-	}, now, fields)
+		"dur_us": (at - sp.start).Microseconds(),
+	}, at, fields)
 }
 
 // Event emits a point event of the given kind under ctx's span and run.

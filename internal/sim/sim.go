@@ -28,23 +28,6 @@ func RandomVectors(nInputs, words int, rng *rand.Rand) [][]uint64 {
 	return m
 }
 
-// RunMany evaluates the circuit on `words` blocks of precomputed input
-// vectors (vectors[i][w] is input i's word w) and returns the output
-// vectors indexed [output][word].
-func RunMany(c *circuit.Circuit, vectors [][]uint64, words int) [][]uint64 {
-	p := CompileOutputs(c)
-	out := make([][]uint64, len(c.Outputs))
-	for j := range out {
-		out[j] = make([]uint64, words)
-	}
-	p.runVectors(vectors, words, func(v []uint64, w0, n int) {
-		for j, o := range p.outputs {
-			copy(out[j][w0:w0+n], v[o:o+int32(n)])
-		}
-	})
-	return out
-}
-
 // RunAllNodes evaluates the circuit on `words` blocks of precomputed
 // input vectors and returns the full per-node signatures, indexed
 // [node][word]. Signatures are the workhorse of simulation-guided

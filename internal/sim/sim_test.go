@@ -113,20 +113,25 @@ func TestEngineRunMatchesEval(t *testing.T) {
 	}
 }
 
-func TestRunManyAndRunAllNodes(t *testing.T) {
+// TestCompileOutputsAndRunAllNodes: the output words of the output-cone
+// tape over precomputed vectors equal the output nodes' signatures, and
+// the input signatures echo the vectors.
+func TestCompileOutputsAndRunAllNodes(t *testing.T) {
 	c := testutil.RandomCircuit(6, 20, 2, 3)
 	rng := rand.New(rand.NewSource(9))
 	const words = 8
 	vectors := RandomVectors(6, words, rng)
-	outs := RunMany(c, vectors, words)
 	sigs := RunAllNodes(c, vectors, words)
-	for j, o := range c.Outputs {
-		for w := 0; w < words; w++ {
-			if outs[j][w] != sigs[o][w] {
-				t.Fatalf("RunMany and RunAllNodes disagree at out %d word %d", j, w)
+	p := CompileOutputs(c)
+	p.runVectors(vectors, words, func(v []uint64, w0, n int) {
+		for j, o := range p.outputs {
+			for w := 0; w < n; w++ {
+				if v[o+int32(w)] != sigs[c.Outputs[j]][w0+w] {
+					t.Fatalf("CompileOutputs and RunAllNodes disagree at out %d word %d", j, w0+w)
+				}
 			}
 		}
-	}
+	})
 	// Input signatures must echo the vectors.
 	for i, id := range c.Inputs {
 		for w := 0; w < words; w++ {
